@@ -172,11 +172,11 @@ def bipartition_matrix(rel: Relation, left: Iterable[str]) -> BooleanMatrix:
     rows = list(itertools.product(rel.domain.elements, repeat=len(left_c)))
     cols = list(itertools.product(rel.domain.elements, repeat=len(right_c)))
     col_index = {t: i for i, t in enumerate(cols)}
-    li = [rel.attrs.index(a) for a in left_c]
-    ri = [rel.attrs.index(a) for a in right_c]
+    pick_row = core._picker([rel.attrs.index(a) for a in left_c])
+    pick_col = core._picker([rel.attrs.index(a) for a in right_c])
     masks = {t: 0 for t in rows}
     for row in rel.rows:
-        masks[tuple(row[i] for i in li)] |= 1 << col_index[tuple(row[i] for i in ri)]
+        masks[pick_row(row)] |= 1 << col_index[pick_col(row)]
     return BooleanMatrix(
         tuple(masks[t] for t in rows), len(cols), tuple(rows), tuple(cols)
     )
@@ -511,10 +511,16 @@ class _CensusSpace:
         return True
 
 
+def _check_census_range(d: int, n: int) -> None:
+    if d < 1 or n < 1:
+        raise PreconditionError(f"census needs d >= 1 and n >= 1, got d={d}, n={n}")
+
+
 def census(d: int, n: int, caps: Caps = DEFAULT_CAPS) -> CensusRow:
     """Exact census of all 2^(d^n) n-ary relations on a d-element domain:
     how many are degenerate, how many join reducible, against the crude
     counting bounds."""
+    _check_census_range(d, n)
     if d ** n > caps.max_census_cells:
         raise CapExceededError(
             f"d^n = {d ** n} exceeds census cap {caps.max_census_cells}; "
@@ -537,6 +543,7 @@ def census(d: int, n: int, caps: Caps = DEFAULT_CAPS) -> CensusRow:
 def census_sampled(d: int, n: int, samples: int, seed: int = 0) -> CensusRow:
     """Sampled census: counts over `samples` uniformly drawn relation
     bitmasks.  Counts are per-sample, not extrapolated."""
+    _check_census_range(d, n)
     space = _CensusSpace(d, n)
     rng = random.Random(seed)
     deg = jred = 0

@@ -6,6 +6,15 @@ stored as value vectors aligned with a canonical ordering of the scheme;
 the ordering is a storage convention only and never carries meaning.
 
 All values are immutable; every operation returns a fresh relation.
+
+Values are validated where they enter: ``Domain(...)`` checks its element
+symbols, and the public ``Relation(...)`` constructor -- hence also
+``Relation.make`` and ``load_relation``, which go through it -- checks the
+attribute order, every row's length and every value's domain membership.
+The operators (``project``, ``select``, ``rename``, ``complement``,
+``standard``, ``join`` and what is built on them) trust their already
+validated inputs: they build results with ``_relation``, which sets the
+fields without checking them again.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .caps import DEFAULT_CAPS
@@ -46,7 +56,10 @@ def canonical_attrs(attrs: Iterable[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Domain:
-    """A named finite set of element symbols with a fixed display order."""
+    """A named finite set of element symbols with a fixed display order.
+
+    ``_members`` holds the elements as a frozenset for O(1) membership.
+    """
 
     name: str
     elements: tuple[str, ...]
@@ -64,13 +77,14 @@ class Domain:
                 f"domain size {len(self.elements)} exceeds cap {DEFAULT_CAPS.max_domain}"
             )
         object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "_members", frozenset(self.elements))
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
     def __contains__(self, element: str) -> bool:
-        return element in self.elements
+        return element in self._members
 
 
 @dataclass(frozen=True)
@@ -89,11 +103,13 @@ class Relation:
     def __post_init__(self):
         if self.attrs != canonical_attrs(self.attrs):
             raise AttributeSchemeError("attributes not in canonical order; use Relation.make")
+        arity = len(self.attrs)
+        members = self.domain._members
         for row in self.rows:
-            if len(row) != len(self.attrs):
+            if len(row) != arity:
                 raise AttributeSchemeError("row length does not match scheme")
             for v in row:
-                if v not in self.domain:
+                if v not in members:
                     raise PreconditionError(f"value {v!r} not in domain {self.domain.name!r}")
 
     @staticmethod
@@ -136,6 +152,27 @@ class Relation:
 
     def has(self, binding: Mapping[str, str]) -> bool:
         return tuple(binding[a] for a in self.attrs) in self.rows
+
+
+def _relation(domain: Domain, attrs: tuple[str, ...], rows: frozenset) -> Relation:
+    """The trusted constructor: a relation from fields the caller has
+    already validated (canonical ``attrs``, rows of matching length with
+    values in ``domain``), built without running ``__post_init__``."""
+    rel = object.__new__(Relation)
+    object.__setattr__(rel, "domain", domain)
+    object.__setattr__(rel, "attrs", attrs)
+    object.__setattr__(rel, "rows", rows)
+    return rel
+
+
+def _picker(idx: Sequence[int]):
+    """A function taking a row to the tuple of its values at ``idx``."""
+    if not idx:
+        return lambda row: ()
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda row: (row[i],)
+    return itemgetter(*idx)
 
 
 def true_relation(domain: Domain) -> Relation:
@@ -192,7 +229,7 @@ def standard(
         rows = itertools.permutations(pool, n) if n else [()]
     else:
         raise PreconditionError(f"unknown standard relation kind {kind!r}")
-    return Relation(domain, attrs, frozenset(rows))
+    return _relation(domain, attrs, frozenset(rows))
 
 
 def project(rel: Relation, keep: Iterable[str]) -> Relation:
@@ -200,9 +237,8 @@ def project(rel: Relation, keep: Iterable[str]) -> Relation:
     missing = set(keep_attrs) - rel.scheme
     if missing:
         raise AttributeSchemeError(f"attributes {sorted(missing)} not in scheme")
-    idx = [rel.attrs.index(a) for a in keep_attrs]
-    rows = frozenset(tuple(row[i] for i in idx) for row in rel.rows)
-    return Relation(rel.domain, keep_attrs, rows)
+    pick = _picker([rel.attrs.index(a) for a in keep_attrs])
+    return _relation(rel.domain, keep_attrs, frozenset(map(pick, rel.rows)))
 
 
 def select(rel: Relation, on: Iterable[str], values: Mapping[str, str] | Sequence[str]) -> Relation:
@@ -219,14 +255,10 @@ def select(rel: Relation, on: Iterable[str], values: Mapping[str, str] | Sequenc
             raise AttributeSchemeError("selection tuple length mismatch")
         want = tuple(values)
     rest = tuple(a for a in rel.attrs if a not in set(on_attrs))
-    on_idx = [rel.attrs.index(a) for a in on_attrs]
-    rest_idx = [rel.attrs.index(a) for a in rest]
-    rows = frozenset(
-        tuple(row[i] for i in rest_idx)
-        for row in rel.rows
-        if tuple(row[i] for i in on_idx) == want
-    )
-    return Relation(rel.domain, rest, rows)
+    pick_on = _picker([rel.attrs.index(a) for a in on_attrs])
+    pick_rest = _picker([rel.attrs.index(a) for a in rest])
+    rows = frozenset(pick_rest(row) for row in rel.rows if pick_on(row) == want)
+    return _relation(rel.domain, rest, rows)
 
 
 def _check_enumerable(arity: int) -> None:
@@ -242,7 +274,7 @@ def complement(rel: Relation) -> Relation:
     _check_enumerable(rel.arity)
     everything = itertools.product(rel.domain.elements, repeat=rel.arity)
     rows = frozenset(row for row in everything if row not in rel.rows)
-    return Relation(rel.domain, rel.attrs, rows)
+    return _relation(rel.domain, rel.attrs, rows)
 
 
 def rename(rel: Relation, mapping: Mapping[str, str]) -> Relation:
@@ -252,9 +284,8 @@ def rename(rel: Relation, mapping: Mapping[str, str]) -> Relation:
     new_attrs = canonical_attrs(mapping.values())
     # position of old attr carrying each new attr's values
     src = {mapping[a]: i for i, a in enumerate(rel.attrs)}
-    idx = [src[a] for a in new_attrs]
-    rows = frozenset(tuple(row[i] for i in idx) for row in rel.rows)
-    return Relation(rel.domain, new_attrs, rows)
+    pick = _picker([src[a] for a in new_attrs])
+    return _relation(rel.domain, new_attrs, frozenset(map(pick, rel.rows)))
 
 
 def cartesian(relations: Sequence[Relation]) -> Relation:
@@ -264,7 +295,7 @@ def cartesian(relations: Sequence[Relation]) -> Relation:
     attributes is undefined, and callers wanting matching semantics must
     use ``join``.
     """
-    domain = _same_domain(relations)
+    _same_domain(relations)
     seen: set[str] = set()
     for r in relations:
         clash = seen & r.scheme
@@ -276,7 +307,7 @@ def cartesian(relations: Sequence[Relation]) -> Relation:
 
 def join(relations: Sequence[Relation]) -> Relation:
     """Natural join: concatenations of tuples that agree on shared attributes."""
-    domain = _same_domain(relations)
+    _same_domain(relations)
     acc = relations[0]
     for r in relations[1:]:
         acc = _join2(acc, r)
@@ -286,23 +317,20 @@ def join(relations: Sequence[Relation]) -> Relation:
 def _join2(a: Relation, b: Relation) -> Relation:
     shared = canonical_attrs(a.scheme & b.scheme)
     out_attrs = canonical_attrs(a.scheme | b.scheme)
-    a_shared = [a.attrs.index(x) for x in shared]
-    b_shared = [b.attrs.index(x) for x in shared]
+    a_key = _picker([a.attrs.index(x) for x in shared])
+    b_key = _picker([b.attrs.index(x) for x in shared])
     index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
     for row in b.rows:
-        index.setdefault(tuple(row[i] for i in b_shared), []).append(row)
-    a_pos = {x: i for i, x in enumerate(a.attrs)}
-    b_pos = {x: i for i, x in enumerate(b.attrs)}
+        index.setdefault(b_key(row), []).append(row)
+    # each output value is picked from the concatenation row + other
+    pos = {x: i for i, x in enumerate(b.attrs, start=a.arity)}
+    pos.update((x, i) for i, x in enumerate(a.attrs))
+    pick = _picker([pos[x] for x in out_attrs])
     rows = set()
     for row in a.rows:
-        for other in index.get(tuple(row[i] for i in a_shared), ()):
-            rows.add(
-                tuple(
-                    row[a_pos[x]] if x in a_pos else other[b_pos[x]]
-                    for x in out_attrs
-                )
-            )
-    return Relation(a.domain, out_attrs, frozenset(rows))
+        for other in index.get(a_key(row), ()):
+            rows.add(pick(row + other))
+    return _relation(a.domain, out_attrs, frozenset(rows))
 
 
 def projoin(relations: Sequence[Relation], keep: Iterable[str]) -> Relation:
@@ -340,10 +368,6 @@ def equal_relations(a: Relation, b: Relation) -> bool:
     if a.domain != b.domain:
         raise DomainMismatchError("cannot compare relations over different domains")
     return a.attrs == b.attrs and a.rows == b.rows
-
-
-def count_tuples(rel: Relation) -> int:
-    return len(rel.rows)
 
 
 # ---------------------------------------------------------------------------

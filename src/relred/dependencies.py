@@ -76,13 +76,13 @@ def functional_dep(rel: Relation, lhs: Iterable[str], rhs: Iterable[str]) -> Dep
     """
     lhs_c = _check_attrs(rel, lhs)
     rhs_c = _check_attrs(rel, rhs)
-    li = [rel.attrs.index(a) for a in lhs_c]
-    ri = [rel.attrs.index(a) for a in rhs_c]
+    pick_key = core._picker([rel.attrs.index(a) for a in lhs_c])
+    pick_val = core._picker([rel.attrs.index(a) for a in rhs_c])
     seen: dict[tuple[str, ...], tuple[tuple[str, ...], tuple[str, ...]]] = {}
     witness = None
     for row in sorted(rel.rows):
-        key = tuple(row[i] for i in li)
-        val = tuple(row[i] for i in ri)
+        key = pick_key(row)
+        val = pick_val(row)
         if key in seen:
             prev_val, prev_row = seen[key]
             if prev_val != val:

@@ -281,7 +281,7 @@ def explicate(f: Formula, env: dict[str, Relation]) -> tuple[Formula, dict[str, 
         for v in confined:
             pos = [p for p, w in enumerate(atom.args) if w == v]
             rows = frozenset(r for r in rows if len({r[p] for p in pos}) == 1)
-        narrowed = Relation(rel.domain, rel.attrs, rows)
+        narrowed = core._relation(rel.domain, rel.attrs, rows)
         projected = core.project(narrowed, [rel.attrs[p] for p in keep_pos])
         symbol = _fresh_symbol(f"{atom.symbol}_tilde", used_symbols)
         out_env[symbol] = projected

@@ -254,17 +254,16 @@ def _eval(f: Formula, env: Environment, domain: Domain) -> Relation:
                 f"arity mismatch: {f.symbol} has arity {rel.arity}, atom has {len(f.args)}"
             )
         out_attrs = core.canonical_attrs(set(f.args))
-        rows = set()
-        for row in rel.rows:
-            binding: dict[str, str] = {}
-            ok = True
-            for var, value in zip(f.args, row):
-                if binding.setdefault(var, value) != value:
-                    ok = False
-                    break
-            if ok:
-                rows.add(tuple(binding[v] for v in out_attrs))
-        return Relation(domain, out_attrs, frozenset(rows))
+        first: dict[str, int] = {}
+        for p, var in enumerate(f.args):
+            first.setdefault(var, p)
+        pick = core._picker([first[v] for v in out_attrs])
+        # a repeated variable selects the diagonal of its columns
+        repeats = [(p, first[v]) for p, v in enumerate(f.args) if first[v] != p]
+        rows = rel.rows
+        if repeats:
+            rows = (r for r in rows if all(r[p] == r[q] for p, q in repeats))
+        return core._relation(domain, out_attrs, frozenset(map(pick, rows)))
     if isinstance(f, Conj):
         return core.join([_eval(p, env, domain) for p in f.parts])
     if isinstance(f.body, Conj):
@@ -511,14 +510,67 @@ def save_certificate(cert: ReductionCertificate, outdir: str, name: str = "targe
     return path
 
 
+def _bundle_file(base: str, fname: str) -> str:
+    """The path of the bundle file ``fname`` in directory ``base``.
+
+    The name is normalized lexically, so a leading ``..`` leaves the
+    bundle; a symbolic link on the way is followed only when its target
+    is inside the bundle.  Only links cost a ``realpath``.
+    """
+    if os.path.isabs(fname):
+        raise ParseError(f"bundle path {fname!r} is absolute")
+    path = base
+    for part in os.path.normpath(fname).split(os.sep):
+        path = os.path.join(path, part)
+        if part == os.pardir or (
+            os.path.islink(path) and not _inside(base, os.path.realpath(path))
+        ):
+            raise ParseError(f"bundle path {fname!r} leads out of the bundle directory")
+    return path
+
+
+def _inside(base: str, path: str) -> bool:
+    base = os.path.realpath(base)
+    return os.path.commonpath([base, path]) == base
+
+
+_MANIFEST_KEYS = (
+    ("target", str, "string"),
+    ("formula", str, "string"),
+    ("env", dict, "object"),
+    ("varmap", dict, "object"),
+)
+
+
 def load_certificate(path: str) -> ReductionCertificate:
-    with open(path) as fh:
-        manifest = json.load(fh)
+    """Read a bundle written by ``save_certificate``.
+
+    A manifest that is not a JSON object of the expected shape, a missing
+    or unreadable file, and a relation path that is absolute or leads out
+    of the bundle directory are all ``ParseError``s.
+    """
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ParseError(f"cannot read certificate manifest {path!r}: {e}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError("certificate manifest is not a JSON object")
+    for key, kind, json_kind in _MANIFEST_KEYS:
+        if not isinstance(manifest.get(key), kind):
+            raise ParseError(f"certificate manifest needs {key!r} as a JSON {json_kind}")
+    for key in ("env", "varmap"):
+        if not all(isinstance(v, str) for v in manifest[key].values()):
+            raise ParseError(f"certificate manifest {key!r} values must be strings")
     base = os.path.dirname(os.path.abspath(path))
 
     def load_rel(fname: str) -> Relation:
-        with open(os.path.join(base, fname)) as fh:
-            return core.load_relation(fh.read())[1]
+        try:
+            with open(_bundle_file(base, fname)) as fh:
+                text = fh.read()
+        except (OSError, ValueError) as e:
+            raise ParseError(f"cannot read bundle file {fname!r}: {e}") from None
+        return core.load_relation(text)[1]
 
     target = load_rel(manifest["target"])
     env = {sym: load_rel(fname) for sym, fname in manifest["env"].items()}

@@ -196,12 +196,12 @@ def neg_join_projoin(join_cert: ReductionCertificate, k: int) -> ReductionCertif
         block = core.canonical_attrs(join_cert.var_map[v] for v in atom.args)
         # the input factor carried over to the target's attribute names
         src = join_cert.env[atom.symbol]
+        if len(atom.args) != src.arity:
+            raise PreconditionError("atom/factor arity mismatch")
+        # atom args are positional along the factor's canonical attribute order
         carried = core.rename(
             src,
-            {
-                old: join_cert.var_map[v]
-                for old, v in zip(src.attrs, _args_in_canonical(src, atom))
-            },
+            {old: join_cert.var_map[v] for old, v in zip(src.attrs, atom.args)},
         )
         negated = core.complement(carried)
         universal = core.standard("universal", block, target.domain)
@@ -216,14 +216,6 @@ def neg_join_projoin(join_cert: ReductionCertificate, k: int) -> ReductionCertif
         out_atoms.append(Atom(symbol, tuple(var_all[a] for a in factor.attrs)))
     out = _wrap(params, out_atoms)
     return ReductionCertificate(neg_target, out, env, {v: a for a, v in var.items()})
-
-
-def _args_in_canonical(factor: Relation, atom: Atom) -> tuple[str, ...]:
-    """Atom args are positional along the factor's canonical attribute
-    order already; this merely names that fact."""
-    if len(atom.args) != factor.arity:
-        raise PreconditionError("atom/factor arity mismatch")
-    return atom.args
 
 
 def union_to_projoin(
@@ -258,7 +250,7 @@ def union_to_projoin(
     rows: set = set()
     for p in products:
         rows |= core.cartesian(list(p)).rows
-    target = Relation(domain, target_attrs, frozenset(rows))
+    target = core._relation(domain, target_attrs, frozenset(rows))
     t_attrs = _fresh_attrs(ground, k)
     labels = list(itertools.islice(_colex_labels(domain, k), len(products)))
     var = _target_vars(target)

@@ -169,3 +169,102 @@ def test_explicate_and_merge_commands(runner, workdir):
     assert run(runner, workdir, "verify", "ec").exit_code == 0
     assert run(runner, workdir, "merge", "ec", "-o", "mc").exit_code == 0
     assert run(runner, workdir, "verify", "mc").exit_code == 0
+
+
+@pytest.fixture
+def bundle(runner, workdir):
+    """A valid certificate bundle and a writer for a changed manifest."""
+    assert run(runner, workdir, "reduce", "I4.rel", "--key", "1",
+               "-o", "cb").exit_code == 0
+    manifest_path = workdir / "cb" / "certificate.json"
+    manifest = json.loads(manifest_path.read_text())
+
+    def write(text):
+        manifest_path.write_text(text)
+        return run(runner, workdir, "verify", "cb")
+
+    return manifest, write
+
+
+def test_verify_manifest_not_json_exit_2(bundle):
+    _, write = bundle
+    res = write("this is not json {")
+    assert res.exit_code == 2 and "parse error" in res.output
+
+
+def test_verify_manifest_not_object_exit_2(bundle):
+    manifest, write = bundle
+    res = write(json.dumps([manifest]))
+    assert res.exit_code == 2 and "not a JSON object" in res.output
+
+
+@pytest.mark.parametrize("key", ["target", "formula", "env", "varmap"])
+def test_verify_manifest_missing_key_exit_2(bundle, key):
+    manifest, write = bundle
+    del manifest[key]
+    res = write(json.dumps(manifest))
+    assert res.exit_code == 2 and repr(key) in res.output
+
+
+@pytest.mark.parametrize("key,value", [
+    ("target", ["target.rel"]),
+    ("formula", 7),
+    ("env", "F1.rel"),
+    ("varmap", None),
+    ("env", {"F1": 1}),
+    ("varmap", {"x1": ["1"]}),
+])
+def test_verify_manifest_wrong_type_exit_2(bundle, key, value):
+    manifest, write = bundle
+    manifest[key] = value
+    res = write(json.dumps(manifest))
+    assert res.exit_code == 2 and repr(key) in res.output
+
+
+def test_verify_missing_file_exit_2(bundle, workdir):
+    manifest, write = bundle
+    (workdir / "cb" / manifest["target"]).unlink()
+    res = write(json.dumps(manifest))
+    assert res.exit_code == 2 and "cannot read bundle file" in res.output
+
+
+def test_verify_absolute_path_exit_2(bundle, workdir):
+    manifest, write = bundle
+    manifest["target"] = str(workdir / "cb" / manifest["target"])
+    res = write(json.dumps(manifest))
+    assert res.exit_code == 2 and "absolute" in res.output
+
+
+def test_verify_path_outside_bundle_exit_2(bundle, workdir):
+    manifest, write = bundle
+    symbol = sorted(manifest["env"])[0]
+    manifest["env"][symbol] = "../I4.rel"
+    res = write(json.dumps(manifest))
+    assert res.exit_code == 2 and "out of the bundle" in res.output
+
+
+def test_verify_symlink_outside_bundle_exit_2(bundle, workdir):
+    manifest, write = bundle
+    (workdir / "cb" / "link.rel").symlink_to(workdir / "I4.rel")
+    manifest["target"] = "link.rel"
+    res = write(json.dumps(manifest))
+    assert res.exit_code == 2 and "out of the bundle" in res.output
+
+
+@pytest.mark.parametrize("d,n,sample", [
+    ("0", "2", None), ("2", "0", None), ("-1", "3", None), ("0", "2", "10"),
+])
+def test_census_range_exit_3(runner, workdir, d, n, sample):
+    args = ["census", "--d", d, "--n", n]
+    if sample is not None:
+        args += ["--sample", sample]
+    res = run(runner, workdir, *args)
+    assert res.exit_code == 3 and "census needs d >= 1 and n >= 1" in res.output
+
+
+def test_verify_symlink_inside_bundle_accepted(bundle, workdir):
+    manifest, write = bundle
+    (workdir / "cb" / "link.rel").symlink_to(workdir / "cb" / manifest["target"])
+    manifest["target"] = "link.rel"
+    res = write(json.dumps(manifest))
+    assert res.exit_code == 0 and "valid" in res.output
