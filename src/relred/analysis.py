@@ -1,10 +1,11 @@
 """Exhaustive desk-scale deciders and censuses.
 
 Everything here is exact: degeneracy and join reducibility are decided by
-the cardinality/projection tests that characterize them, one-parameter
-relative-product reducibility by a Boolean rank search over maximal
-all-ones rectangles, and censuses by full enumeration (with an explicit
-sampled fallback above the cap).
+the cardinality/projection tests that characterize them, and censuses by
+full enumeration (with an explicit sampled fallback above the cap).  The
+Boolean-rank decider (two-factor relative products) and the one-parameter
+box decider (ternary projoins) share one bitmask cover search, ``_cover``:
+is the relation a union of at most d maximal all-ones rectangles, or boxes?
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .errors import (
     PreconditionError,
     ReductionRefused,
 )
-from .formula import Atom, Conj, Exists, Formula, ReductionCertificate
+from .formula import Atom, ReductionCertificate
+from .reducers import _fresh_attrs, _target_vars, _wrap
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +77,22 @@ def finest_factorization(rel: Relation) -> tuple[tuple[str, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
+def _certificate(
+    rel: Relation, env: dict[str, Relation], params: dict[str, str]
+) -> ReductionCertificate:
+    """The certificate exists P [F1(...) & F2(...) & ...] for the factors
+    of ``env`` in order: target attributes are carried by x1..xn, and the
+    other factor attributes by the variables P that ``params`` maps them to."""
+    var = _target_vars(rel)
+    var_all = dict(var, **params)
+    atoms = [
+        Atom(symbol, tuple(var_all[a] for a in factor.attrs))
+        for symbol, factor in env.items()
+    ]
+    f = _wrap(tuple(params.values()), atoms)
+    return ReductionCertificate(rel, f, env, {v: a for a, v in var.items()})
+
+
 def is_join_reducible(rel: Relation) -> Optional[ReductionCertificate]:
     """Exact decision via the canonical test: R is join reducible iff it
     equals the join of all its (n-1)-ary projections.  (Any join
@@ -85,14 +103,8 @@ def is_join_reducible(rel: Relation) -> Optional[ReductionCertificate]:
     factors = [core.project(rel, rel.scheme - {i}) for i in rel.attrs]
     if not core.equal_relations(core.join(factors), rel):
         return None
-    var = {a: f"x{i + 1}" for i, a in enumerate(rel.attrs)}
-    env = {}
-    atoms = []
-    for j, factor in enumerate(factors, start=1):
-        env[f"F{j}"] = factor
-        atoms.append(Atom(f"F{j}", tuple(var[a] for a in factor.attrs)))
-    f: Formula = atoms[0] if len(atoms) == 1 else Conj(tuple(atoms))
-    return ReductionCertificate(rel, f, env, {v: a for a, v in var.items()})
+    env = {f"F{j}": factor for j, factor in enumerate(factors, start=1)}
+    return _certificate(rel, env, {})
 
 
 @dataclass(frozen=True)
@@ -185,7 +197,8 @@ def bipartition_matrix(rel: Relation, left: Iterable[str]) -> BooleanMatrix:
 def _maximal_rectangles(m: BooleanMatrix) -> list[tuple[int, int]]:
     """All maximal all-ones rectangles as (row_mask, col_mask) pairs.
     Column sets of maximal rectangles are exactly the nonzero AND-closure
-    of the row masks."""
+    of the row masks; each such set is closed (the AND of the rows that
+    contain it), so with those rows it is already maximal."""
     closure: set[int] = set()
     frontier = {mask for mask in m.row_masks if mask}
     while frontier:
@@ -193,22 +206,28 @@ def _maximal_rectangles(m: BooleanMatrix) -> list[tuple[int, int]]:
         frontier = {
             a & b for a in frontier for b in m.row_masks if a & b and a & b not in closure
         }
-    rects = []
-    for cols in closure:
-        rows = 0
-        for i, mask in enumerate(m.row_masks):
-            if mask & cols == cols:
-                rows |= 1 << i
-        rects.append((rows, cols))
-    # drop rectangles contained in another
-    out = []
-    for r, c in rects:
-        if not any(
-            (r2 | r, c2 | c) == (r2, c2) and (r2, c2) != (r, c) for r2, c2 in rects
-        ):
-            out.append((r, c))
-    out.sort()
-    return out
+    return sorted(
+        (sum(1 << i for i, mask in enumerate(m.row_masks) if mask & cols == cols), cols)
+        for cols in closure
+    )
+
+
+def _cover(cells: int, pieces: Sequence[int], budget: int) -> Optional[list[int]]:
+    """Indices of at most ``budget`` of ``pieces`` (bitmasks inside
+    ``cells``) whose union is ``cells``, or None.  Branches on the lowest
+    uncovered bit and tries the pieces covering it in the order given, so
+    that order fixes the cover found (Knuth's Algorithm X on bitmasks)."""
+    if not cells:
+        return []
+    if budget == 0:
+        return None
+    low = cells & -cells
+    for i, piece in enumerate(pieces):
+        if piece & low:
+            rest = _cover(cells & ~piece, pieces, budget - 1)
+            if rest is not None:
+                return [i] + rest
+    return None
 
 
 def boolean_rank_at_most(
@@ -217,7 +236,8 @@ def boolean_rank_at_most(
     """Exact test: is the matrix an OR of at most k all-ones rectangles?
     Returns a witnessing cover (row_mask, col_mask list) when it is.
     Restricting the search to maximal rectangles loses no covers, and
-    every rectangle lies inside the support, so covers are exact."""
+    every rectangle lies inside the support, so covers are exact.
+    Cell (i, j) is bit i*ncols + j."""
     if k < 0:
         raise PreconditionError("rank bound must be >= 0")
     if m.nrows * m.ncols > caps.rank_max_cells:
@@ -226,36 +246,14 @@ def boolean_rank_at_most(
         )
     if m.ones > caps.rank_max_ones:
         raise CapExceededError(f"matrix has {m.ones} ones > cap {caps.rank_max_ones}")
-    ones = [
-        (i, j)
-        for i, mask in enumerate(m.row_masks)
-        for j in range(m.ncols)
-        if mask >> j & 1
-    ]
-    if not ones:
-        return []
     rects = _maximal_rectangles(m)
-
-    def covered(cell, rect):
-        i, j = cell
-        r, c = rect
-        return r >> i & 1 and c >> j & 1
-
-    def dfs(uncovered, budget, chosen):
-        if not uncovered:
-            return list(chosen)
-        if budget == 0:
-            return None
-        cell = uncovered[0]
-        for rect in rects:
-            if covered(cell, rect):
-                rest = [x for x in uncovered if not covered(x, rect)]
-                found = dfs(rest, budget - 1, chosen + [rect])
-                if found is not None:
-                    return found
-        return None
-
-    return dfs(ones, k, [])
+    pieces = [
+        sum(cols << i * m.ncols for i in range(m.nrows) if rows >> i & 1)
+        for rows, cols in rects
+    ]
+    cells = sum(mask << i * m.ncols for i, mask in enumerate(m.row_masks))
+    chosen = _cover(cells, pieces, k)
+    return None if chosen is None else [rects[i] for i in chosen]
 
 
 def rel_prod_reducible2(
@@ -272,9 +270,7 @@ def rel_prod_reducible2(
         return None
     left_c = core.canonical_attrs(left)
     right_c = tuple(a for a in rel.attrs if a not in set(left_c))
-    t_attr = "t1"
-    while t_attr in rel.scheme:
-        t_attr += "_"
+    (t_attr,) = _fresh_attrs(rel.scheme, 1)
     a_rows = []
     b_rows = []
     for label, (rmask, cmask) in zip(rel.domain.elements, cover):
@@ -284,18 +280,11 @@ def rel_prod_reducible2(
         for j, t in enumerate(m.col_tuples):
             if cmask >> j & 1:
                 b_rows.append(dict(zip(right_c, t)) | {t_attr: label})
-    a_rel = Relation.make(rel.domain, left_c + (t_attr,), a_rows)
-    b_rel = Relation.make(rel.domain, right_c + (t_attr,), b_rows)
-    var = {a: f"x{i + 1}" for i, a in enumerate(rel.attrs)}
-    var_all = dict(var, **{t_attr: "t1"})
-    atoms = (
-        Atom("F1", tuple(var_all[a] for a in a_rel.attrs)),
-        Atom("F2", tuple(var_all[a] for a in b_rel.attrs)),
-    )
-    f = Exists(frozenset({"t1"}), Conj(atoms))
-    return ReductionCertificate(
-        rel, f, {"F1": a_rel, "F2": b_rel}, {v: a for a, v in var.items()}
-    )
+    env = {
+        "F1": Relation.make(rel.domain, left_c + (t_attr,), a_rows),
+        "F2": Relation.make(rel.domain, right_c + (t_attr,), b_rows),
+    }
+    return _certificate(rel, env, {t_attr: "t1"})
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +302,9 @@ def one_param_ternary_projoin(
     R(x1,x2,x3) = exists t [F1(t,x1) & F2(t,x2) & F3(t,x3)], i.e. R must
     be a union of at most d unary-product boxes.  Without the hypothesis
     a negative answer would not be conclusive, so we refuse.
+
+    Cell i of D^3 in sorted order is bit i; a box A x B x C is the AND of
+    three cylinders (cells whose k-th value lies in a given subset).
     """
     if rel.arity != 3:
         raise PreconditionError("one-parameter box decision is for ternaries")
@@ -328,70 +320,46 @@ def one_param_ternary_projoin(
                 )
     if (2 ** d.size - 1) ** 3 > 2 * 10 ** 6:
         raise CapExceededError("box enumeration too large for this domain size")
-    subsets = []
-    for chosen in range(1, 2 ** d.size):
-        subsets.append(tuple(e for i, e in enumerate(d.elements) if chosen >> i & 1))
-    pos = {a: i for i, a in enumerate(rel.attrs)}
-    rows = rel.rows
-    boxes = []
-    for a_set in subsets:
-        for b_set in subsets:
-            for c_set in subsets:
-                if all(
-                    (x, y, z) in rows
-                    for x in a_set
-                    for y in b_set
-                    for z in c_set
-                ):
-                    boxes.append((frozenset(a_set), frozenset(b_set), frozenset(c_set)))
-    maximal = [
-        box
-        for box in boxes
-        if not any(
-            other != box and all(b <= o for b, o in zip(box, other))
-            for other in boxes
-        )
+    elems = sorted(d.elements)
+    cells = list(itertools.product(elems, repeat=3))
+    subsets = [
+        tuple(e for i, e in enumerate(elems) if chosen >> i & 1)
+        for chosen in range(1, 2 ** d.size)
     ]
-    maximal.sort(key=lambda box: tuple(sorted(b) for b in box))
-
-    def dfs(uncovered, budget, chosen):
-        if not uncovered:
-            return list(chosen)
-        if budget == 0:
-            return None
-        cell = uncovered[0]
-        for box in maximal:
-            if all(cell[i] in box[i] for i in range(3)):
-                rest = [
-                    c for c in uncovered if not all(c[i] in box[i] for i in range(3))
-                ]
-                found = dfs(rest, budget - 1, chosen + [box])
-                if found is not None:
-                    return found
+    cyl = [
+        [sum(1 << i for i, c in enumerate(cells) if c[k] in s) for s in subsets]
+        for k in range(3)
+    ]
+    target = sum(1 << i for i, c in enumerate(cells) if c in rel.rows)
+    outside = ~target
+    boxes = []
+    for a, cyl_a in enumerate(cyl[0]):
+        for b, cyl_b in enumerate(cyl[1]):
+            ab = cyl_a & cyl_b
+            for c, cyl_c in enumerate(cyl[2]):
+                if not ab & cyl_c & outside:
+                    boxes.append((ab & cyl_c, (subsets[a], subsets[b], subsets[c])))
+    # largest first: a box inside another lies inside a maximal one, kept earlier
+    boxes.sort(key=lambda box: -box[0].bit_count())
+    maximal: list[tuple[int, tuple]] = []
+    for mask, sets in boxes:
+        if all(mask | other != other for other, _ in maximal):
+            maximal.append((mask, sets))
+    maximal.sort(key=lambda box: box[1])
+    chosen = _cover(target, [mask for mask, _ in maximal], d.size)
+    if chosen is None:
         return None
-
-    cover = dfs(sorted(rows), d.size, [])
-    if cover is None:
-        return None
-    t_attr = "t1"
-    while t_attr in rel.scheme:
-        t_attr += "_"
-    var = {a: f"x{i + 1}" for i, a in enumerate(rel.attrs)}
+    cover = [maximal[i][1] for i in chosen]
+    (t_attr,) = _fresh_attrs(rel.scheme, 1)
     env = {}
-    atoms = []
     for i, attr in enumerate(rel.attrs):
         factor_rows = [
             {t_attr: label, attr: v}
-            for label, box in zip(d.elements, cover)
-            for v in sorted(box[i])
+            for label, sets in zip(d.elements, cover)
+            for v in sets[i]
         ]
-        factor = Relation.make(d, (t_attr, attr), factor_rows)
-        env[f"F{i + 1}"] = factor
-        atoms.append(Atom(f"F{i + 1}", tuple(
-            "t1" if a == t_attr else var[a] for a in factor.attrs
-        )))
-    f = Exists(frozenset({"t1"}), Conj(tuple(atoms)))
-    return ReductionCertificate(rel, f, env, {v: a for a, v in var.items()})
+        env[f"F{i + 1}"] = Relation.make(d, (t_attr, attr), factor_rows)
+    return _certificate(rel, env, {t_attr: "t1"})
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@ Everything in this library works by explicit enumeration of D^Sigma, so
 domain size and arity are capped to keep that enumerable.  Defaults can be
 overridden with the RELRED_CAPS environment variable, a comma-separated
 list of ``name=value`` pairs, e.g. ``RELRED_CAPS=max_arity=10,max_domain=6``.
+``from_env`` raises ``ParseError`` on a malformed value; the import-time
+``DEFAULT_CAPS`` then keeps the defaults.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+
+from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -27,17 +31,27 @@ def _parse(spec: str) -> Caps:
         item = item.strip()
         if not item:
             continue
-        name, _, value = item.partition("=")
+        name, eq, value = item.partition("=")
         name = name.strip()
+        if not eq:
+            raise ParseError(f"RELRED_CAPS item {item!r} is not name=value")
         if name not in Caps.__dataclass_fields__:
-            raise ValueError(f"unknown cap {name!r} in RELRED_CAPS")
-        caps = replace(caps, **{name: int(value)})
+            raise ParseError(f"unknown cap {name!r} in RELRED_CAPS")
+        try:
+            caps = replace(caps, **{name: int(value)})
+        except ValueError:
+            raise ParseError(
+                f"cap {name!r} in RELRED_CAPS needs an integer, got {value.strip()!r}"
+            ) from None
     return caps
 
 
 def from_env() -> Caps:
-    spec = os.environ.get("RELRED_CAPS", "")
-    return _parse(spec) if spec else Caps()
+    return _parse(os.environ.get("RELRED_CAPS", ""))
 
 
-DEFAULT_CAPS = from_env()
+try:
+    DEFAULT_CAPS = from_env()
+except ParseError:
+    # importing never fails; the CLI reads the variable again and reports it
+    DEFAULT_CAPS = Caps()

@@ -31,25 +31,32 @@ EXIT_CAP = 4
 EXIT_VERIFY = 5
 
 
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
+    # click.echo without a file caches each stream object for good, so an
+    # in-process caller that captures the output would never free it
+    stream = click.get_text_stream("stderr" if err else "stdout", errors=None)
+    click.echo(message, file=stream, nl=nl)
+
+
 def _handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except ParseError as e:
-            click.echo(f"parse error: {e}", err=True)
+            _echo(f"parse error: {e}", err=True)
             sys.exit(EXIT_PARSE)
         except CapExceededError as e:
-            click.echo(f"cap exceeded: {e}", err=True)
+            _echo(f"cap exceeded: {e}", err=True)
             sys.exit(EXIT_CAP)
         except ReductionRefused as e:
-            click.echo(f"refused ({e.reason}): {e}", err=True)
+            _echo(f"refused ({e.reason}): {e}", err=True)
             sys.exit(EXIT_PRECONDITION)
         except VerificationError as e:
-            click.echo(f"verification failed: {e}", err=True)
+            _echo(f"verification failed: {e}", err=True)
             sys.exit(EXIT_VERIFY)
         except (PreconditionError, RelredError) as e:
-            click.echo(f"error: {e}", err=True)
+            _echo(f"error: {e}", err=True)
             sys.exit(EXIT_PRECONDITION)
 
     return wrapper
@@ -78,9 +85,9 @@ def _parse_blocks(text: str) -> list[list[str]]:
 
 def _emit(ctx, payload_json: str, payload_text: str):
     if ctx.obj["format"] == "json":
-        click.echo(payload_json)
+        _echo(payload_json)
     else:
-        click.echo(payload_text)
+        _echo(payload_text)
 
 
 @click.group()
@@ -89,6 +96,7 @@ def _emit(ctx, payload_json: str, payload_text: str):
 @click.option("--threads", type=int, default=1,
               help="accepted for compatibility; execution is serial")
 @click.pass_context
+@_handle_errors
 def main(ctx, fmt, threads):
     """Attributed-relation algebra, reductions, and diagrams."""
     ctx.ensure_object(dict)
@@ -121,7 +129,7 @@ def eval_cmd(ctx, formula_file, env_files, free, out):
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
 
 
 @main.command("deps")
@@ -200,7 +208,7 @@ def reduce_cmd(ctx, rel_file, key, fagin, hypostatic, neg_join, k_param,
             "pick one of --key, --fagin, --hypostatic, --neg-join, --identity-chain"
         )
     path = formula.save_certificate(cert, out)
-    click.echo(path)
+    _echo(path)
 
 
 @main.command("explicate")
@@ -212,7 +220,7 @@ def explicate_cmd(ctx, cert_file, out):
     """Explicate a projoin certificate into a bond certificate."""
     cert = _load_cert(cert_file)
     result = diagrams.explicate_certificate(cert)
-    click.echo(formula.save_certificate(result, out))
+    _echo(formula.save_certificate(result, out))
 
 
 @main.command("merge")
@@ -224,7 +232,7 @@ def merge_cmd(ctx, cert_file, out):
     """Merge-complete a subternaric bond certificate."""
     cert = _load_cert(cert_file)
     result = diagrams.merge_complete(cert)
-    click.echo(formula.save_certificate(result, out))
+    _echo(formula.save_certificate(result, out))
 
 
 @main.command("diagram")
@@ -249,7 +257,7 @@ def diagram_cmd(ctx, source, dot_out, stats):
         with open(dot_out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
     if stats:
         st = diagrams.bond_graph_stats(dg)
         _emit(ctx, st.to_json(),
@@ -340,10 +348,10 @@ def census_cmd(ctx, d, n, sample, seed):
     else:
         row = analysis.census(d, n, ctx.obj["caps"])
     if ctx.obj["format"] == "json":
-        click.echo(row.to_json())
+        _echo(row.to_json())
     else:
-        click.echo(analysis.CENSUS_CSV_HEADER)
-        click.echo(row.to_csv_row())
+        _echo(analysis.CENSUS_CSV_HEADER)
+        _echo(row.to_csv_row())
 
 
 @main.command("verify")
@@ -355,7 +363,7 @@ def verify_cmd(ctx, cert_file):
     try:
         cert = _load_cert(cert_file)
     except VerificationError as e:
-        click.echo(f"invalid: {e}", err=True)
+        _echo(f"invalid: {e}", err=True)
         sys.exit(EXIT_VERIFY)
     verdict = formula.check_certificate(cert)
     _emit(ctx, verdict.to_json(),

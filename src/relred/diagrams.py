@@ -33,6 +33,7 @@ from .formula import (
     free_vars,
     var_key,
 )
+from .reducers import _caterpillar, _wrap
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +204,8 @@ def bond_graph_stats(diagram: BondingDiagram) -> BondGraph:
 
 
 def _chain(vs: Sequence[str], names: FreshNames, base: str) -> list[Atom]:
-    """Teridentity caterpillar identifying all of ``vs`` (len >= 3):
-    I3(v1,v2,u1) & I3(u1,v3,u2) & ... -- exactly len(vs)-2 atoms."""
-    internals = [names.fresh(base) for _ in range(len(vs) - 3)]
-    seq = [vs[0], vs[1]]
-    for u, v in zip(internals, vs[2:-1]):
-        seq += [u, v]
-    seq.append(vs[-1])
-    return [Atom("I3", tuple(seq[2 * i : 2 * i + 3])) for i in range(len(vs) - 2)]
+    """The teridentity caterpillar over ``vs``, with fresh internals."""
+    return _caterpillar(vs, [names.fresh(base) for _ in range(len(vs) - 3)])
 
 
 def _fresh_symbol(base: str, used: set[str]) -> str:
@@ -329,9 +324,7 @@ def explicate(f: Formula, env: dict[str, Relation]) -> tuple[Formula, dict[str, 
     final_params += sorted(internal, key=var_key)
     body_atoms = [Atom(a.symbol, tuple(args)) for a, args in zip(new_atoms, rewritten)]
     body_atoms += chain_atoms
-    body: Formula = body_atoms[0] if len(body_atoms) == 1 else Conj(tuple(body_atoms))
-    out = Exists(frozenset(final_params), body) if final_params else body
-    return out, out_env
+    return _wrap(final_params, body_atoms), out_env
 
 
 def explicate_certificate(cert: ReductionCertificate) -> ReductionCertificate:
@@ -402,9 +395,7 @@ def de_explicate(
         raise PreconditionError(
             f"redundant closed component around {dangling}"
         )
-    body: Formula = atoms[0] if len(atoms) == 1 else Conj(tuple(atoms))
-    out = Exists(frozenset(params), body) if params else body
-    return out, out_env
+    return _wrap(params, atoms), out_env
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +475,7 @@ def merge_complete(cert: ReductionCertificate) -> ReductionCertificate:
     assert ternaries_out <= ternaries_in
     assert all(len(a.args) <= 3 for a in atoms)
     atoms.sort(key=lambda a: (a.symbol, a.args))
-    body: Formula = atoms[0] if len(atoms) == 1 else Conj(tuple(atoms))
-    out = Exists(frozenset(params), body) if params else body
+    out = _wrap(params, atoms)
     needed = {a.symbol for a in atoms}
     out_env = {s: r for s, r in env.items() if s in needed}
     return ReductionCertificate(cert.target, out, out_env, dict(cert.var_map))

@@ -112,6 +112,11 @@ def var_key(name: str):
 # ---------------------------------------------------------------------------
 
 
+MAX_NESTING = 100
+"""Deepest nesting of parentheses and quantifiers that ``parse`` accepts, so
+that normalizing, rendering and evaluating stay well inside Python's stack."""
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -150,7 +155,9 @@ class _Parser:
             and (end >= len(self.text) or not self.text[end].isalnum())
         )
 
-    def formula(self) -> Formula:
+    def formula(self, depth: int = 0) -> Formula:
+        if depth > MAX_NESTING:
+            self.error(f"formula nested more than {MAX_NESTING} levels deep")
         if self.at_keyword("exists"):
             self.eat("exists")
             variables = [self.word(VAR_RE, "variable")]
@@ -159,23 +166,23 @@ class _Parser:
                     self.eat(",")
                 variables.append(self.word(VAR_RE, "variable"))
             self.eat(".")
-            return Exists(frozenset(variables), self.formula())
-        return self.conj()
+            return Exists(frozenset(variables), self.formula(depth + 1))
+        return self.conj(depth)
 
-    def conj(self) -> Formula:
-        parts = [self.primary()]
+    def conj(self, depth: int) -> Formula:
+        parts = [self.primary(depth)]
         while self.peek() == "&":
             self.eat("&")
             if self.at_keyword("exists"):
-                parts.append(self.formula())
+                parts.append(self.formula(depth + 1))
             else:
-                parts.append(self.primary())
+                parts.append(self.primary(depth))
         return parts[0] if len(parts) == 1 else Conj(tuple(parts))
 
-    def primary(self) -> Formula:
+    def primary(self, depth: int) -> Formula:
         if self.peek() == "(":
             self.eat("(")
-            inner = self.formula()
+            inner = self.formula(depth + 1)
             self.eat(")")
             return inner
         return self.atom()

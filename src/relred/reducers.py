@@ -53,6 +53,17 @@ def _wrap(params: Sequence[str], atoms: Sequence[Atom]) -> Formula:
     return Exists(frozenset(params), body) if params else body
 
 
+def _caterpillar(vs: Sequence[str], internals: Sequence[str]) -> list[Atom]:
+    """Teridentity caterpillar identifying all of ``vs`` (len >= 3)
+    through the len(vs) - 3 ``internals`` u1, u2, ...:
+    I3(v1,v2,u1) & I3(u1,v3,u2) & ... -- exactly len(vs) - 2 atoms."""
+    seq = [vs[0], vs[1]]
+    for u, v in zip(internals, vs[2:-1]):
+        seq += [u, v]
+    seq.append(vs[-1])
+    return [Atom("I3", tuple(seq[2 * i : 2 * i + 3])) for i in range(len(vs) - 2)]
+
+
 def key_reduction(rel: Relation, key: Iterable[str]) -> ReductionCertificate:
     """Join decomposition through a key: factors are the projections onto
     the key plus one leftover attribute each.  Quantifier-free."""
@@ -282,9 +293,7 @@ def identity_chain(n: int, domain: Domain) -> ReductionCertificate:
     i3 = core.standard("identity", 3, domain)
     xs = [f"x{i}" for i in range(1, n + 1)]
     ts = [f"t{i}" for i in range(1, n - 2)]
-    chain = xs[:2] + [v for t, x in zip(ts, xs[2:]) for v in (t, x)] + [xs[-1]]
-    atoms = [Atom("I3", tuple(chain[2 * i : 2 * i + 3])) for i in range(n - 2)]
-    f = _wrap(ts, atoms)
+    f = _wrap(ts, _caterpillar(xs, ts))
     env = {"I3": i3}
     var_map = {x: str(i + 1) for i, x in enumerate(xs)}
     return ReductionCertificate(target, f, env, var_map)

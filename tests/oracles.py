@@ -90,3 +90,61 @@ def expected_ternary_count(params, atoms):
         if len(args) - absorbed[i] == 3:
             total += 1
     return total
+
+
+def nonempty_subsets(items):
+    items = list(items)
+    return [
+        frozenset(c)
+        for size in range(1, len(items) + 1)
+        for c in itertools.combinations(items, size)
+    ]
+
+
+def maximal_pieces(pieces):
+    """The pieces not strictly inside another, for pieces given as tuples
+    of sets compared coordinatewise."""
+    return {
+        p for p in pieces
+        if not any(p != q and all(a <= b for a, b in zip(p, q)) for q in pieces)
+    }
+
+
+def maximal_rectangles(row_sets, ncols):
+    """All maximal all-ones rectangles (row set, column set) of a 0-1
+    matrix given as one set of columns per row."""
+    rects = [
+        (rs, cs)
+        for rs in nonempty_subsets(range(len(row_sets)))
+        for cs in nonempty_subsets(range(ncols))
+        if all(cs <= row_sets[i] for i in rs)
+    ]
+    return maximal_pieces(rects)
+
+
+def maximal_boxes(rows, elems):
+    """All maximal boxes A x B x C inside a ternary relation."""
+    subsets = nonempty_subsets(elems)
+    boxes = [
+        (a, b, c)
+        for a in subsets
+        for b in subsets
+        for c in subsets
+        if all(t in rows for t in itertools.product(a, b, c))
+    ]
+    return maximal_pieces(boxes)
+
+
+def cells_of(piece):
+    """The cells of a rectangle or box: the product of its sides."""
+    return set(itertools.product(*piece))
+
+
+def union_of_at_most(cells, pieces, k):
+    """Is ``cells`` the union of at most k of ``pieces`` (sets inside it)?"""
+    pieces = list(pieces)
+    return any(
+        set().union(*combo) == cells
+        for size in range(k + 1)
+        for combo in itertools.combinations(pieces, size)
+    )

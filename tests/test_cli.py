@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import relred
 from relred.cli import main
 from relred.core import complement, dump_relation, standard
 
@@ -268,3 +271,55 @@ def test_verify_symlink_inside_bundle_accepted(bundle, workdir):
     manifest["target"] = "link.rel"
     res = write(json.dumps(manifest))
     assert res.exit_code == 0 and "valid" in res.output
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "P(x)" + ")" * 3000,
+    "P(x) & (" * 3000 + "P(x)" + ")" * 3000,
+], ids=["parens", "right"])
+def test_eval_deep_nesting_exit_2(runner, workdir, text):
+    (workdir / "P.rel").write_text("@relation P over D2(a,b)\n1\na\n")
+    (workdir / "deep.txt").write_text(text + "\n")
+    res = run(runner, workdir, "eval", "deep.txt", "--env", "P.rel")
+    assert res.exit_code == 2
+    assert res.output.startswith("parse error:") and res.output.count("\n") == 1
+
+
+def _with_caps(spec, *args):
+    src = os.path.dirname(os.path.dirname(relred.__file__))
+    env = dict(os.environ, RELRED_CAPS=spec,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("spec", ["bogus=1", "max_arity=x", "max_arity"])
+def test_bad_caps_env_exit_2(spec):
+    res = _with_caps(spec, "-m", "relred.cli", "census", "--d", "2", "--n", "2")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("parse error:") and res.stderr.count("\n") == 1
+    assert "RELRED_CAPS" in res.stderr
+
+
+def test_bad_caps_env_import_keeps_defaults():
+    res = _with_caps("bogus=1", "-c",
+                     "import relred; print(relred.DEFAULT_CAPS == relred.Caps())")
+    assert res.returncode == 0 and res.stdout == "True\n"
+
+
+def test_in_process_run_frees_captured_output():
+    import contextlib
+    import gc
+    import io
+    import weakref
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        main.main(args=["census", "--d", "2", "--n", "2"], standalone_mode=False)
+        with pytest.raises(SystemExit):
+            main.main(args=["census", "--d", "0", "--n", "2"], standalone_mode=False)
+    assert out.getvalue().startswith("d,n,total") and err.getvalue().startswith("error:")
+    refs = [weakref.ref(out), weakref.ref(err)]
+    del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None, None]

@@ -1,0 +1,206 @@
+"""The shared bitmask cover search behind the Boolean-rank and
+one-parameter box deciders, against brute-force references."""
+
+import itertools
+import random
+
+import pytest
+
+from relred.analysis import (
+    BooleanMatrix,
+    _maximal_rectangles,
+    boolean_rank_at_most,
+    is_join_reducible,
+    one_param_ternary_projoin,
+    rel_prod_reducible2,
+)
+from relred.core import Domain, Relation, dump_relation, standard
+from relred.errors import ReductionRefused
+from relred.formula import check_certificate, render
+
+from oracles import cells_of, maximal_boxes, maximal_rectangles, proj, union_of_at_most
+
+
+def _bits(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _random_matrix(rng):
+    nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+    density = rng.random()
+    row_sets = [
+        frozenset(j for j in range(ncols) if rng.random() < density)
+        for _ in range(nrows)
+    ]
+    masks = tuple(sum(1 << j for j in cols) for cols in row_sets)
+    return row_sets, BooleanMatrix(masks, ncols)
+
+
+def test_maximal_rectangles_match_brute_force():
+    rng = random.Random(1)
+    for _ in range(150):
+        row_sets, m = _random_matrix(rng)
+        got = _maximal_rectangles(m)
+        assert got == sorted(set(got))
+        assert {(_bits(r), _bits(c)) for r, c in got} == maximal_rectangles(
+            row_sets, m.ncols
+        )
+
+
+def test_boolean_rank_matches_brute_force_cover():
+    rng = random.Random(2)
+    for _ in range(100):
+        row_sets, m = _random_matrix(rng)
+        ones = {(i, j) for i, cols in enumerate(row_sets) for j in cols}
+        rects = [cells_of(r) for r in maximal_rectangles(row_sets, m.ncols)]
+        for k in range(4):
+            cover = boolean_rank_at_most(m, k)
+            assert (cover is not None) == union_of_at_most(ones, rects, k)
+            if cover is None:
+                continue
+            assert len(cover) <= k
+            pieces = [cells_of((_bits(r), _bits(c))) for r, c in cover]
+            assert all(p <= ones for p in pieces)
+            assert set().union(*pieces) == ones
+
+
+def _universal_projections(rows, elems):
+    return all(
+        len(proj(rows, idxs)) == len(elems) ** len(idxs)
+        for size in (1, 2)
+        for idxs in itertools.combinations(range(3), size)
+    )
+
+
+def _cover_boxes(cert, rel):
+    """The boxes of a one-parameter certificate, one per used label."""
+    sides = []
+    for symbol in ("F1", "F2", "F3"):
+        factor = cert.env[symbol]
+        t_pos = factor.attrs.index(next(a for a in factor.attrs if a not in rel.scheme))
+        sides.append({
+            label: {r[1 - t_pos] for r in factor.rows if r[t_pos] == label}
+            for label in rel.domain.elements
+        })
+    return [
+        tuple(side[label] for side in sides)
+        for label in rel.domain.elements
+        if all(side[label] for side in sides)
+    ]
+
+
+def _check_one_param(rel):
+    rows = set(rel.rows)
+    elems = sorted(rel.domain.elements)
+    if not _universal_projections(rows, elems):
+        with pytest.raises(ReductionRefused):
+            one_param_ternary_projoin(rel)
+        return None
+    cert = one_param_ternary_projoin(rel)
+    boxes = [cells_of(b) for b in maximal_boxes(rows, elems)]
+    assert (cert is not None) == union_of_at_most(rows, boxes, len(elems))
+    if cert is not None:
+        assert check_certificate(cert).valid
+        pieces = [cells_of(b) for b in _cover_boxes(cert, rel)]
+        assert len(pieces) <= len(elems)
+        assert all(p <= rows for p in pieces)
+        assert set().union(*pieces) == rows
+    return cert is not None
+
+
+def test_one_param_matches_brute_force_cover_d2(d2):
+    cells = list(itertools.product(d2.elements, repeat=3))
+    verdicts = []
+    for mask in range(2 ** len(cells)):
+        rows = [c for i, c in enumerate(cells) if mask >> i & 1]
+        verdicts.append(_check_one_param(Relation.make(d2, ("1", "2", "3"), rows)))
+    assert verdicts.count(True) and verdicts.count(False)
+
+
+def test_one_param_matches_brute_force_cover_d3():
+    rng = random.Random(4)
+    dom = Domain("D", ("c", "a", "b"))
+    elems = dom.elements
+    verdicts = []
+    while len(verdicts) < 25:
+        rows = set()
+        for _ in range(rng.randint(1, 4)):
+            rows |= set(itertools.product(
+                *([e for e in elems if rng.random() < 0.6] or [rng.choice(elems)]
+                  for _ in range(3))
+            ))
+        if rng.random() < 0.3:
+            rows |= {(x, y, elems[(i + j) % 3])
+                     for i, x in enumerate(elems) for j, y in enumerate(elems)}
+        if not _universal_projections(rows, elems):
+            continue
+        verdicts.append(_check_one_param(Relation.make(dom, ("1", "2", "3"), rows)))
+    assert verdicts.count(True) and verdicts.count(False)
+
+
+def _cert_text(cert):
+    return render(cert.formula) + "\n" + "".join(
+        dump_relation(cert.env[k], k) for k in sorted(cert.env)
+    )
+
+
+def test_pinned_relprod2_identity(d2):
+    cert = rel_prod_reducible2(standard("identity", 3, d2), ("1",))
+    assert _cert_text(cert) == (
+        "exists t1 . F1(x1,t1) & F2(x2,x3,t1)\n"
+        "@relation F1 over D2(a,b)\n1 t1\na a\nb b\n"
+        "@relation F2 over D2(a,b)\n2 3 t1\na a a\nb b b\n"
+    )
+
+
+def test_pinned_relprod2_unsorted_domain():
+    dom = Domain("D", ("b", "a"))
+    rows = [("a", "a", "b"), ("a", "b", "b"), ("b", "a", "a"),
+            ("b", "b", "a"), ("b", "b", "b")]
+    cert = rel_prod_reducible2(Relation.make(dom, ("1", "2", "3"), rows), ("1",))
+    assert _cert_text(cert) == (
+        "exists t1 . F1(x1,t1) & F2(x2,x3,t1)\n"
+        "@relation F1 over D(b,a)\n1 t1\na a\nb b\n"
+        "@relation F2 over D(b,a)\n2 3 t1\na a b\na b a\nb a b\nb b a\nb b b\n"
+    )
+
+
+def test_pinned_one_param_unsorted_domain():
+    # {a} x D x D  u  D x {b} x D  u  D x D x {b}, with D displayed c, a, b
+    dom = Domain("D", ("c", "a", "b"))
+    D = dom.elements
+    rows = (set(itertools.product("a", D, D)) | set(itertools.product(D, "b", D))
+            | set(itertools.product(D, D, "b")))
+    cert = one_param_ternary_projoin(Relation.make(dom, ("1", "2", "3"), rows))
+    assert _cert_text(cert) == (
+        "exists t1 . F1(x1,t1) & F2(x2,t1) & F3(x3,t1)\n"
+        "@relation F1 over D(c,a,b)\n1 t1\na a\na b\na c\nb a\nb b\nc a\nc b\n"
+        "@relation F2 over D(c,a,b)\n2 t1\na a\na c\nb a\nb b\nb c\nc a\nc c\n"
+        "@relation F3 over D(c,a,b)\n3 t1\na b\na c\nb a\nb b\nb c\nc b\nc c\n"
+    )
+
+
+def test_pinned_join_reducible_diversity(d3):
+    cert = is_join_reducible(standard("diversity", 3, d3))
+    pairs = "a b\na c\nb a\nb c\nc a\nc b\n"
+    assert _cert_text(cert) == (
+        "F1(x2,x3) & F2(x1,x3) & F3(x1,x2)\n"
+        f"@relation F1 over D3(a,b,c)\n2 3\n{pairs}"
+        f"@relation F2 over D3(a,b,c)\n1 3\n{pairs}"
+        f"@relation F3 over D3(a,b,c)\n1 2\n{pairs}"
+    )
+
+
+def test_pinned_one_param_overlapping_boxes():
+    # D^3 minus {b} x {a,c} x {b,c}: several maximal boxes cover the least
+    # cell, so the certificate depends on the candidate order
+    dom = Domain("D", ("c", "a", "b"))
+    D = dom.elements
+    rows = set(itertools.product(D, D, D)) - set(itertools.product("b", "ac", "bc"))
+    cert = one_param_ternary_projoin(Relation.make(dom, ("1", "2", "3"), rows))
+    assert _cert_text(cert) == (
+        "exists t1 . F1(x1,t1) & F2(x2,t1) & F3(x3,t1)\n"
+        "@relation F1 over D(c,a,b)\n1 t1\na a\na b\na c\nb b\nb c\nc a\nc b\nc c\n"
+        "@relation F2 over D(c,a,b)\n2 t1\na a\na c\nb a\nb b\nb c\nc a\nc c\n"
+        "@relation F3 over D(c,a,b)\n3 t1\na a\na b\na c\nb a\nb b\nc a\nc b\n"
+    )

@@ -80,6 +80,25 @@ def test_explicate_shared_bound_var(d2):
     assert evaluate(g, env2).rows == evaluate(f, env).rows
 
 
+def test_explicate_chain_text(d2):
+    # t fills five slots: a caterpillar of three teridentities with two
+    # internal relays
+    f = parse("exists t . P(x,t) & Q(t,y) & S(t,z) & P(y,t) & Q(t,x)")
+    env = {
+        "P": make_rel(d2, 2, [("a", "a"), ("b", "a")]),
+        "Q": make_rel(d2, 2, [("a", "b")]),
+        "S": make_rel(d2, 2, [("a", "a"), ("a", "b")]),
+    }
+    g, env2 = explicate(f, env)
+    assert render(g) == (
+        "exists t_1_1 t_1_2 t_1_3 t_1_4 t_1_5 t_1_6 t_1_7 x_1 x_2 y_1 y_2 . "
+        "P(x_1,t_1_1) & Q(t_1_2,y_1) & S(t_1_3,z) & P(y_2,t_1_4) & Q(t_1_5,x_2) & "
+        "I3(t_1_1,t_1_2,t_1_6) & I3(t_1_6,t_1_3,t_1_7) & I3(t_1_7,t_1_4,t_1_5) & "
+        "I3(x,x_1,x_2) & I3(y,y_1,y_2)"
+    )
+    assert evaluate(g, env2).rows == evaluate(f, env).rows
+
+
 def test_explicate_free_var_sharing(d2):
     f = parse("P(x,y) & Q(x,z)")
     env = {

@@ -1,11 +1,12 @@
 import pytest
 
-from relred.core import standard
+from relred.core import Domain, Relation, standard
 from relred.errors import ParseError, PreconditionError, VerificationError
 from relred.formula import (
     Atom,
     Conj,
     Exists,
+    MAX_NESTING,
     ReductionCertificate,
     check_certificate,
     classify,
@@ -45,6 +46,33 @@ def test_parse_errors():
     for bad in ["", "P(", "exists . P(x)", "p(x)", "P(x) Q(y)", "P(X)"]:
         with pytest.raises(ParseError):
             parse(bad)
+
+
+DEEP = {
+    "parens": lambda n: "(" * n + "P(x)" + ")" * n,
+    "right": lambda n: "P(x) & (" * n + "P(x)" + ")" * n,
+    "exists": lambda n: "".join(f"exists y{i} . " for i in range(n))
+    + " & ".join(f"Q(x,y{i})" for i in range(n)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_parse_refuses_deep_nesting(shape):
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError, match="nested more than"):
+            parse(DEEP[shape](depth))
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_deepest_accepted_formula_round_trips(shape):
+    d = Domain("D", ("a", "b"))
+    env = {"P": Relation.make(d, ("1",), [("a",)]),
+           "Q": Relation.make(d, ("1", "2"), [("a", "a")])}
+    f = parse(DEEP[shape](MAX_NESTING))
+    assert render(parse(render(f))) == render(f)
+    g = parse(render(normalize(f)))
+    assert evaluate(f, env).rows == evaluate(g, env).rows == {("a",)}
+    check_certificate(ReductionCertificate(env["P"], f, env, {"x": "1"}))
 
 
 def test_render_roundtrip():

@@ -136,6 +136,12 @@ def test_identity_chain_is_bond(d2):
     assert cert.target.rows == standard("identity", 5, d2).rows
 
 
+def test_identity_chain_text(d2):
+    assert render(identity_chain(5, d2).formula) == (
+        "exists t1 t2 . I3(x1,x2,t1) & I3(t1,x3,t2) & I3(t2,x4,x5)"
+    )
+
+
 def test_identity_chain_arity_refusal(d2):
     with pytest.raises(ReductionRefused) as exc:
         identity_chain(2, d2)
