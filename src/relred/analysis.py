@@ -6,6 +6,8 @@ full enumeration (with an explicit sampled fallback above the cap).  The
 Boolean-rank decider (two-factor relative products) and the one-parameter
 box decider (ternary projoins) share one bitmask cover search, ``_cover``:
 is the relation a union of at most d maximal all-ones rectangles, or boxes?
+A cover found becomes a one-parameter certificate through the labeled-union
+builder of ``reducers``: each rectangle or box gets its own parameter value.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .errors import (
     PreconditionError,
     ReductionRefused,
 )
-from .formula import Atom, ReductionCertificate
-from .reducers import _fresh_attrs, _target_vars, _wrap
+from .formula import ReductionCertificate
+from .reducers import _certificate, _labeled_union
 
 
 # ---------------------------------------------------------------------------
@@ -75,22 +77,6 @@ def finest_factorization(rel: Relation) -> tuple[tuple[str, ...], ...]:
 # ---------------------------------------------------------------------------
 # Join reducibility
 # ---------------------------------------------------------------------------
-
-
-def _certificate(
-    rel: Relation, env: dict[str, Relation], params: dict[str, str]
-) -> ReductionCertificate:
-    """The certificate exists P [F1(...) & F2(...) & ...] for the factors
-    of ``env`` in order: target attributes are carried by x1..xn, and the
-    other factor attributes by the variables P that ``params`` maps them to."""
-    var = _target_vars(rel)
-    var_all = dict(var, **params)
-    atoms = [
-        Atom(symbol, tuple(var_all[a] for a in factor.attrs))
-        for symbol, factor in env.items()
-    ]
-    f = _wrap(tuple(params.values()), atoms)
-    return ReductionCertificate(rel, f, env, {v: a for a, v in var.items()})
 
 
 def is_join_reducible(rel: Relation) -> Optional[ReductionCertificate]:
@@ -270,21 +256,14 @@ def rel_prod_reducible2(
         return None
     left_c = core.canonical_attrs(left)
     right_c = tuple(a for a in rel.attrs if a not in set(left_c))
-    (t_attr,) = _fresh_attrs(rel.scheme, 1)
-    a_rows = []
-    b_rows = []
-    for label, (rmask, cmask) in zip(rel.domain.elements, cover):
-        for i, t in enumerate(m.row_tuples):
-            if rmask >> i & 1:
-                a_rows.append(dict(zip(left_c, t)) | {t_attr: label})
-        for j, t in enumerate(m.col_tuples):
-            if cmask >> j & 1:
-                b_rows.append(dict(zip(right_c, t)) | {t_attr: label})
-    env = {
-        "F1": Relation.make(rel.domain, left_c + (t_attr,), a_rows),
-        "F2": Relation.make(rel.domain, right_c + (t_attr,), b_rows),
-    }
-    return _certificate(rel, env, {t_attr: "t1"})
+    rectangles = (
+        [
+            [t for i, t in enumerate(m.row_tuples) if rmask >> i & 1],
+            [t for j, t in enumerate(m.col_tuples) if cmask >> j & 1],
+        ]
+        for rmask, cmask in cover
+    )
+    return _labeled_union(rel, 1, [left_c, right_c], rectangles)
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +328,8 @@ def one_param_ternary_projoin(
     chosen = _cover(target, [mask for mask, _ in maximal], d.size)
     if chosen is None:
         return None
-    cover = [maximal[i][1] for i in chosen]
-    (t_attr,) = _fresh_attrs(rel.scheme, 1)
-    env = {}
-    for i, attr in enumerate(rel.attrs):
-        factor_rows = [
-            {t_attr: label, attr: v}
-            for label, sets in zip(d.elements, cover)
-            for v in sets[i]
-        ]
-        env[f"F{i + 1}"] = Relation.make(d, (t_attr, attr), factor_rows)
-    return _certificate(rel, env, {t_attr: "t1"})
+    cover = ([[(v,) for v in side] for side in maximal[i][1]] for i in chosen)
+    return _labeled_union(rel, 1, [(a,) for a in rel.attrs], cover)
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +478,18 @@ def census(d: int, n: int, caps: Caps = DEFAULT_CAPS) -> CensusRow:
     return CensusRow(d, n, 2 ** space.ncells, deg, jred, bound_ndeg, bound_njred)
 
 
-def census_sampled(d: int, n: int, samples: int, seed: int = 0) -> CensusRow:
+def census_sampled(
+    d: int, n: int, samples: int, seed: int = 0, caps: Caps = DEFAULT_CAPS
+) -> CensusRow:
     """Sampled census: counts over `samples` uniformly drawn relation
-    bitmasks.  Counts are per-sample, not extrapolated."""
+    bitmasks.  Counts are per-sample, not extrapolated.  The d^n cells are
+    materialised, so d and n are held to the domain and arity caps first."""
     _check_census_range(d, n)
+    if d > caps.max_domain or n > caps.max_arity:
+        raise CapExceededError(
+            f"sampled census over d={d}, n={n} exceeds caps "
+            f"max_domain={caps.max_domain}, max_arity={caps.max_arity}"
+        )
     space = _CensusSpace(d, n)
     rng = random.Random(seed)
     deg = jred = 0

@@ -344,7 +344,7 @@ def analyze_cmd(ctx, rel_file, which, relprod2, out):
 def census_cmd(ctx, d, n, sample, seed):
     """Count degenerate and join-reducible relations on D^n."""
     if sample is not None:
-        row = analysis.census_sampled(d, n, sample, seed)
+        row = analysis.census_sampled(d, n, sample, seed, ctx.obj["caps"])
     else:
         row = analysis.census(d, n, ctx.obj["caps"])
     if ctx.obj["format"] == "json":

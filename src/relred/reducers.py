@@ -12,6 +12,12 @@ Conventions shared by all reducers:
 * whenever a construction involves labeling by parameter tuples, tuples of
   D^k are used in colex order (first coordinate varies fastest) and the
   labeled objects are taken in canonical order.
+
+Every certificate is assembled by ``_certificate``.  Every k-parameter
+construction -- hypostatic abstraction, the negated-join projoin,
+union-to-projoin, and the certificates of the Boolean-rank and
+one-parameter box deciders in ``analysis`` -- is one labeled union of joins
+over fixed blocks, built by ``_labeled_union``.
 """
 
 from __future__ import annotations
@@ -53,6 +59,50 @@ def _wrap(params: Sequence[str], atoms: Sequence[Atom]) -> Formula:
     return Exists(frozenset(params), body) if params else body
 
 
+def _certificate(
+    target: Relation, env: dict[str, Relation], params: dict[str, str]
+) -> ReductionCertificate:
+    """The certificate exists P [F1(...) & F2(...) & ...] for the factors
+    of ``env`` in order: target attributes are carried by x1..xn, and the
+    other factor attributes by the variables P that ``params`` maps them to."""
+    var = _target_vars(target)
+    var_all = dict(var, **params)
+    atoms = [
+        Atom(symbol, tuple(var_all[a] for a in factor.attrs))
+        for symbol, factor in env.items()
+    ]
+    f = _wrap(tuple(params.values()), atoms)
+    return ReductionCertificate(target, f, env, {v: a for a, v in var.items()})
+
+
+def _labeled_union(
+    target: Relation,
+    k: int,
+    blocks: Sequence[tuple[str, ...]],
+    terms: Iterable[Sequence[Iterable[tuple[str, ...]]]],
+) -> ReductionCertificate:
+    """The k-parameter projoin certificate for a union of joins over fixed
+    ``blocks`` of target attributes.  Term j holds one set of value tuples
+    per block, aligned with the block; it is labeled with the j-th tuple of
+    D^k in colex order, and factor F{i+1} over t1..tk plus block i collects
+    the labeled i-th pieces.  The caller guarantees at most d^k terms and
+    values from validated relations or the target's domain, so factors are
+    built trusted."""
+    t_attrs = _fresh_attrs(target.scheme, k)
+    # terms first: no label is drawn when there are no terms
+    labeled = list(zip(terms, _colex_labels(target.domain, k)))
+    env: dict[str, Relation] = {}
+    for i, block in enumerate(blocks):
+        given = t_attrs + block
+        attrs = core.canonical_attrs(given)
+        pick = core._picker([given.index(a) for a in attrs])
+        rows = frozenset(
+            pick(label + value) for term, label in labeled for value in term[i]
+        )
+        env[f"F{i + 1}"] = core._relation(target.domain, attrs, rows)
+    return _certificate(target, env, {t: f"t{i + 1}" for i, t in enumerate(t_attrs)})
+
+
 def _caterpillar(vs: Sequence[str], internals: Sequence[str]) -> list[Atom]:
     """Teridentity caterpillar identifying all of ``vs`` (len >= 3)
     through the len(vs) - 3 ``internals`` u1, u2, ...:
@@ -81,16 +131,10 @@ def key_reduction(rel: Relation, key: Iterable[str]) -> ReductionCertificate:
             "trivial",
             "key covers the whole scheme; nothing left to factor",
         )
-    var = _target_vars(rel)
-    env: dict[str, Relation] = {}
-    atoms = []
-    for j, i in enumerate(rest, start=1):
-        factor = core.project(rel, set(key_c) | {i})
-        symbol = f"F{j}"
-        env[symbol] = factor
-        atoms.append(Atom(symbol, tuple(var[a] for a in factor.attrs)))
-    f = _wrap((), atoms)
-    return ReductionCertificate(rel, f, env, {v: a for a, v in var.items()})
+    env = {
+        f"F{j}": core.project(rel, set(key_c) | {i}) for j, i in enumerate(rest, start=1)
+    }
+    return _certificate(rel, env, {})
 
 
 def fagin_decompose(
@@ -106,22 +150,18 @@ def fagin_decompose(
             f"{list(m_c)} ->> {[list(b) for b in report.rhs]} does not hold",
             witness=report.witness,
         )
-    var = _target_vars(rel)
-    env: dict[str, Relation] = {}
-    atoms = []
-    for j, block in enumerate(report.rhs, start=1):
-        factor = core.project(rel, set(m_c) | set(block))
-        symbol = f"F{j}"
-        env[symbol] = factor
-        atoms.append(Atom(symbol, tuple(var[a] for a in factor.attrs)))
-    f = _wrap((), atoms)
-    return ReductionCertificate(rel, f, env, {v: a for a, v in var.items()})
+    env = {
+        f"F{j}": core.project(rel, set(m_c) | set(block))
+        for j, block in enumerate(report.rhs, start=1)
+    }
+    return _certificate(rel, env, {})
 
 
 def hypostatic_abstraction(rel: Relation, k: int) -> ReductionCertificate:
     """Projoin decomposition into (k+1)-aries by hypostatic abstraction:
-    attach k fresh attributes labeling the tuples, key-reduce the
-    augmented relation, and quantify the labels away.
+    label each tuple, a single-row product of its values, with its own
+    parameter tuple, so that factor i pairs the labels with the i-th values
+    and the labels are quantified away.
 
     Requires |R| <= d^k -- otherwise the labels cannot distinguish the
     tuples and no k-key augmentation exists.
@@ -136,24 +176,9 @@ def hypostatic_abstraction(rel: Relation, k: int) -> ReductionCertificate:
             size=len(rel),
             bound=d ** k,
         )
-    t_attrs = _fresh_attrs(rel.scheme, k)
-    labels = itertools.islice(_colex_labels(rel.domain, k), len(rel))
-    augmented_rows = []
-    for label, row in zip(labels, sorted(rel.rows)):
-        augmented_rows.append(dict(zip(t_attrs, label)) | dict(zip(rel.attrs, row)))
-    augmented = Relation.make(rel.domain, t_attrs + rel.attrs, augmented_rows)
-    var = _target_vars(rel)
-    params = [f"t{i + 1}" for i in range(k)]
-    var_all = dict(var, **dict(zip(t_attrs, params)))
-    env: dict[str, Relation] = {}
-    atoms = []
-    for j, i in enumerate(rel.attrs, start=1):
-        factor = core.project(augmented, set(t_attrs) | {i})
-        symbol = f"F{j}"
-        env[symbol] = factor
-        atoms.append(Atom(symbol, tuple(var_all[a] for a in factor.attrs)))
-    f = _wrap(params, atoms)
-    return ReductionCertificate(rel, f, env, {v: a for a, v in var.items()})
+    # one single-row product per tuple, in sorted order
+    terms = ([[(v,)] for v in row] for row in sorted(rel.rows))
+    return _labeled_union(rel, k, [(a,) for a in rel.attrs], terms)
 
 
 def neg_join_projoin(join_cert: ReductionCertificate, k: int) -> ReductionCertificate:
@@ -196,14 +221,8 @@ def neg_join_projoin(join_cert: ReductionCertificate, k: int) -> ReductionCertif
             violated="k + l <= n - 1",
         )
     neg_target = core.complement(target)
-    t_attrs = _fresh_attrs(target.scheme, k)
-    labels = list(itertools.islice(_colex_labels(target.domain, k), big_n))
-    var = _target_vars(neg_target)
-    params = [f"t{i + 1}" for i in range(k)]
-    var_all = dict(var, **dict(zip(t_attrs, params)))
-    env: dict[str, Relation] = {}
-    out_atoms = []
-    for j, atom in enumerate(atoms):
+    blocks, negated, universal = [], [], []
+    for atom in atoms:
         block = core.canonical_attrs(join_cert.var_map[v] for v in atom.args)
         # the input factor carried over to the target's attribute names
         src = join_cert.env[atom.symbol]
@@ -214,19 +233,15 @@ def neg_join_projoin(join_cert: ReductionCertificate, k: int) -> ReductionCertif
             src,
             {old: join_cert.var_map[v] for old, v in zip(src.attrs, atom.args)},
         )
-        negated = core.complement(carried)
-        universal = core.standard("universal", block, target.domain)
-        rows = []
-        for li, label in enumerate(labels):
-            source = negated if li == j else universal
-            for r in source:
-                rows.append(dict(zip(t_attrs, label)) | r)
-        factor = Relation.make(target.domain, t_attrs + block, rows)
-        symbol = f"F{j + 1}"
-        env[symbol] = factor
-        out_atoms.append(Atom(symbol, tuple(var_all[a] for a in factor.attrs)))
-    out = _wrap(params, out_atoms)
-    return ReductionCertificate(neg_target, out, env, {v: a for a, v in var.items()})
+        blocks.append(block)
+        negated.append(core.complement(carried).rows)
+        universal.append(core.standard("universal", block, target.domain).rows)
+    # disjunct j negates factor j and leaves the others universal
+    terms = (
+        [negated[i] if i == j else universal[i] for i in range(big_n)]
+        for j in range(big_n)
+    )
+    return _labeled_union(neg_target, k, blocks, terms)
 
 
 def union_to_projoin(
@@ -237,7 +252,7 @@ def union_to_projoin(
     collects the labeled i-th blocks.  Needs at most d^k products."""
     if not products or not products[0]:
         raise PreconditionError("need at least one product with at least one factor")
-    domain = products[0][0].domain
+    domain = core._same_domain([f for p in products for f in p])
     partition = tuple(f.scheme for f in products[0])
     ground: frozenset[str] = frozenset()
     for block in partition:
@@ -262,26 +277,9 @@ def union_to_projoin(
     for p in products:
         rows |= core.cartesian(list(p)).rows
     target = core._relation(domain, target_attrs, frozenset(rows))
-    t_attrs = _fresh_attrs(ground, k)
-    labels = list(itertools.islice(_colex_labels(domain, k), len(products)))
-    var = _target_vars(target)
-    params = [f"t{i + 1}" for i in range(k)]
-    var_all = dict(var, **dict(zip(t_attrs, params)))
-    env: dict[str, Relation] = {}
-    atoms = []
-    for i, block in enumerate(partition):
-        factor_rows = []
-        for label, p in zip(labels, products):
-            for r in p[i]:
-                factor_rows.append(dict(zip(t_attrs, label)) | r)
-        factor = Relation.make(
-            domain, t_attrs + core.canonical_attrs(block), factor_rows
-        )
-        symbol = f"F{i + 1}"
-        env[symbol] = factor
-        atoms.append(Atom(symbol, tuple(var_all[a] for a in factor.attrs)))
-    f = _wrap(params, atoms)
-    return ReductionCertificate(target, f, env, {v: a for a, v in var.items()})
+    blocks = [core.canonical_attrs(block) for block in partition]
+    terms = ([f.rows for f in p] for p in products)
+    return _labeled_union(target, k, blocks, terms)
 
 
 def identity_chain(n: int, domain: Domain) -> ReductionCertificate:

@@ -1,5 +1,6 @@
 import pytest
 
+from relred import analysis
 from relred.core import Domain, Relation
 
 
@@ -29,6 +30,16 @@ def rel_h(d3):
         ("b", "c", "b", "c"),
     ]
     return Relation.make(d3, ("1", "2", "3", "4"), rows)
+
+
+@pytest.fixture
+def no_census_space(monkeypatch):
+    """Fail instead of materialising D^n, so that a missing cap check
+    cannot allocate an uncapped census."""
+    def refuse(d, n):
+        raise AssertionError(f"census space built for d={d}, n={n}")
+
+    monkeypatch.setattr(analysis, "_CensusSpace", refuse)
 
 
 def make_rel(domain, n, rows):

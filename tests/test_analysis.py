@@ -156,6 +156,20 @@ def test_census_sampled_deterministic():
     assert a.degenerate <= a.join_reducible <= a.samples
 
 
+@pytest.mark.parametrize("d,n,caps", [
+    (40, 40, Caps()), (9, 2, Caps()), (2, 9, Caps()),
+    (3, 2, Caps(max_domain=2)), (2, 3, Caps(max_arity=2)),
+])
+def test_census_sampled_caps_before_allocating(no_census_space, d, n, caps):
+    with pytest.raises(CapExceededError, match="max_domain"):
+        census_sampled(d, n, 1, caps=caps)
+
+
+def test_census_sampled_at_the_caps_builds_the_space(no_census_space):
+    with pytest.raises(AssertionError, match="census space built"):
+        census_sampled(2, 3, 1, caps=Caps(max_domain=2, max_arity=3))
+
+
 def test_join_reducibility_matches_cover_search_sample(d2):
     rng = random.Random(3)
     cells = list(itertools.product(d2.elements, repeat=3))

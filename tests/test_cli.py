@@ -265,6 +265,12 @@ def test_census_range_exit_3(runner, workdir, d, n, sample):
     assert res.exit_code == 3 and "census needs d >= 1 and n >= 1" in res.output
 
 
+def test_census_sampled_over_caps_exit_4(runner, workdir, no_census_space):
+    res = run(runner, workdir, "census", "--d", "40", "--n", "40", "--sample", "1")
+    assert res.exit_code == 4
+    assert res.output.startswith("cap exceeded:") and res.output.count("\n") == 1
+
+
 def test_verify_symlink_inside_bundle_accepted(bundle, workdir):
     manifest, write = bundle
     (workdir / "cb" / "link.rel").symlink_to(workdir / "cb" / manifest["target"])

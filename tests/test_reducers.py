@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from relred.core import Relation, complement, standard
-from relred.errors import ReductionRefused
+from relred.core import Domain, Relation, complement, dump_relation, standard
+from relred.errors import DomainMismatchError, ReductionRefused
 from relred.formula import check_certificate, classify, render
 from relred.reducers import (
     fagin_decompose,
@@ -129,6 +129,22 @@ def test_union_too_many_terms(d2):
     assert exc.value.reason == "too_many_terms"
 
 
+def test_union_refuses_mixed_domains(d2):
+    # same element names, different domain: the domains still differ
+    other = Domain("A", d2.elements)
+    products = [
+        [make_rel(d2, 1, [("a",)]), Relation.make(d2, ("2",), [("a",)])],
+        [make_rel(other, 1, [("b",)]), Relation.make(other, ("2",), [("b",)])],
+    ]
+    with pytest.raises(DomainMismatchError):
+        union_to_projoin(products, 1)
+    # different element names, mixed inside one product
+    zy = Domain("Z", ("z", "y"))
+    products = [[make_rel(d2, 1, [("a",)]), Relation.make(zy, ("2",), [("z",)])]]
+    with pytest.raises(DomainMismatchError):
+        union_to_projoin(products, 1)
+
+
 def test_identity_chain_is_bond(d2):
     cert = identity_chain(5, d2)
     cls = classify(cert.formula)
@@ -163,3 +179,95 @@ def test_random_key_reductions_verify(d3):
         cert = key_reduction(r, ("1",))
         assert check_certificate(cert).valid
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# Pinned certificates: the formula text and every factor, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _cert_text(cert):
+    return render(cert.formula) + "\n" + "".join(
+        dump_relation(cert.env[k], k) for k in sorted(cert.env)
+    )
+
+
+def test_pinned_hypostatic_k1_unsorted_domain():
+    # rows are labeled in sorted order with D = (c, a, b) in display order
+    dom = Domain("D", ("c", "a", "b"))
+    rows = [("c", "a", "b"), ("a", "a", "c"), ("b", "c", "a")]
+    cert = hypostatic_abstraction(Relation.make(dom, ("1", "2", "3"), rows), 1)
+    assert _cert_text(cert) == (
+        "exists t1 . F1(x1,t1) & F2(x2,t1) & F3(x3,t1)\n"
+        "@relation F1 over D(c,a,b)\n1 t1\na c\nb a\nc b\n"
+        "@relation F2 over D(c,a,b)\n2 t1\na b\na c\nc a\n"
+        "@relation F3 over D(c,a,b)\n3 t1\na a\nb b\nc c\n"
+    )
+
+
+def test_pinned_hypostatic_k2_fresh_names(d2):
+    # the target owns "t1", so the label attributes are t1_ and t2
+    rows = [("a", "b", "a"), ("b", "b", "b"), ("a", "a", "b")]
+    cert = hypostatic_abstraction(Relation.make(d2, ("1", "2", "t1"), rows), 2)
+    assert _cert_text(cert) == (
+        "exists t1 t2 . F1(x1,t1,t2) & F2(x2,t1,t2) & F3(x3,t1,t2)\n"
+        "@relation F1 over D2(a,b)\n1 t1_ t2\na a a\na b a\nb a b\n"
+        "@relation F2 over D2(a,b)\n2 t1_ t2\na a a\nb a b\nb b a\n"
+        "@relation F3 over D2(a,b)\nt1 t1_ t2\na b a\nb a a\nb a b\n"
+    )
+
+
+def test_pinned_neg_join_unsorted_domain():
+    dom = Domain("D", ("b", "a"))
+    rows = [("a", x, "b", z) for x in "ab" for z in "ab"]
+    prod = Relation.make(dom, ("1", "2", "3", "4"), rows)
+    join_cert = fagin_decompose(prod, (), [("3", "4"), ("1", "2")])
+    cert = neg_join_projoin(join_cert, 1)
+    assert _cert_text(cert) == (
+        "exists t1 . F1(x3,x4,t1) & F2(x1,x2,t1)\n"
+        "@relation F1 over D(b,a)\n3 4 t1\n"
+        "a a a\na a b\na b a\na b b\nb a a\nb b a\n"
+        "@relation F2 over D(b,a)\n1 2 t1\n"
+        "a a b\na b b\nb a a\nb a b\nb b a\nb b b\n"
+    )
+
+
+def test_pinned_union_three_blocks_out_of_order(d2):
+    def product(c10, c2, c1x):
+        return [Relation.make(d2, ("10",), c10), Relation.make(d2, ("2",), c2),
+                Relation.make(d2, ("1", "x"), c1x)]
+
+    products = [
+        product([("a",)], [("a",), ("b",)], [("a", "b")]),
+        product([("b",)], [("b",)], [("b", "a"), ("a", "a")]),
+        product([("a",), ("b",)], [("a",)], [("b", "b")]),
+    ]
+    cert = union_to_projoin(products, 2)
+    assert _cert_text(cert) == (
+        "exists t1 t2 . F1(x3,t1,t2) & F2(x2,t1,t2) & F3(x1,t1,t2,x4)\n"
+        "@relation F1 over D2(a,b)\n10 t1 t2\na a a\na a b\nb a b\nb b a\n"
+        "@relation F2 over D2(a,b)\n2 t1 t2\na a a\na a b\nb a a\nb b a\n"
+        "@relation F3 over D2(a,b)\n1 t1 t2 x\na a a b\na b a a\nb a b b\nb b a a\n"
+    )
+
+
+def test_pinned_key_reduction_unsorted_domain():
+    dom = Domain("D", ("c", "a", "b"))
+    rows = [("c", "a", "a"), ("a", "b", "a"), ("b", "b", "c")]
+    cert = key_reduction(Relation.make(dom, ("1", "2", "3"), rows), ("1",))
+    assert _cert_text(cert) == (
+        "F1(x1,x2) & F2(x1,x3)\n"
+        "@relation F1 over D(c,a,b)\n1 2\na b\nb b\nc a\n"
+        "@relation F2 over D(c,a,b)\n1 3\na a\nb c\nc a\n"
+    )
+
+
+def test_pinned_fagin_blocks_in_given_order(d2):
+    rows = [("a", "a", "a"), ("a", "a", "b"), ("a", "b", "a"),
+            ("a", "b", "b"), ("b", "a", "b")]
+    cert = fagin_decompose(make_rel(d2, 3, rows), ("1",), [("3",), ("2",)])
+    assert _cert_text(cert) == (
+        "F1(x1,x3) & F2(x1,x2)\n"
+        "@relation F1 over D2(a,b)\n1 3\na a\na b\nb b\n"
+        "@relation F2 over D2(a,b)\n1 2\na a\na b\nb a\n"
+    )
