@@ -2,8 +2,15 @@
 
 Everything here is exact: degeneracy and join reducibility are decided by
 the cardinality/projection tests that characterize them, and censuses by
-full enumeration (with an explicit sampled fallback above the cap).  The
-Boolean-rank decider (two-factor relative products) and the one-parameter
+full enumeration (with an explicit sampled fallback above the cap).
+
+The census tests each relation as one bitmask over the d^n cells of D^n:
+projections and cylinders are a few whole-mask shifts per coordinate, R is
+join reducible iff the AND of the cylinders of its (n-1)-projections is R,
+and degenerate iff the popcounts of two complementary projections multiply
+to |R| (see ``_CensusSpace``).
+
+The Boolean-rank decider (two-factor relative products) and the one-parameter
 box decider (ternary projoins) share one bitmask cover search, ``_cover``:
 is the relation a union of at most d maximal all-ones rectangles, or boxes?
 A cover found becomes a one-parameter certificate through the labeled-union
@@ -12,11 +19,12 @@ builder of ``reducers``: each rectangle or box gets its own parameter value.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import core
@@ -352,35 +360,40 @@ class CensusRow:
     samples: Optional[int] = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "n": self.n,
-                "total": self.total,
-                "degenerate": self.degenerate,
-                "join_reducible": self.join_reducible,
-                "bound_ndeg": self.bound_ndeg,
-                "bound_njred": self.bound_njred,
-                "mode": self.mode,
-                "samples": self.samples,
-            }
+        return "{%s}" % ", ".join(
+            f"{json.dumps(name)}: "
+            + (_digits(value) if isinstance(value, int) else json.dumps(value))
+            for name, value in asdict(self).items()
         )
 
     def to_csv_row(self) -> str:
         return ",".join(
-            str(x)
-            for x in (
-                self.d,
-                self.n,
-                self.total,
-                self.degenerate,
-                self.join_reducible,
-                self.bound_ndeg,
-                self.bound_njred,
-                self.mode,
-                self.samples if self.samples is not None else "",
-            )
+            _digits(value) if isinstance(value, int) else value or ""
+            for value in asdict(self).values()
         )
+
+
+def _digits(x: int) -> str:
+    """Decimal digits of x.  ``str`` refuses ints past the interpreter's
+    digit limit (4300 digits by default) and is quadratic in the length,
+    while a sampled census over d^n cells prints 2^(d^n): so x is split at
+    half its bit length and the halves are recombined in the ``decimal``
+    module, whose multiplication is subquadratic (as Python 3.12's
+    ``str`` does for large ints)."""
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def convert(x: int, width: int) -> decimal.Decimal:
+        if width <= 4096:
+            return decimal.Decimal(x)
+        half = width // 2
+        if half not in powers:
+            powers[half] = ctx.power(decimal.Decimal(2), half)
+        high = x >> half
+        low = convert(x - (high << half), half)
+        return ctx.add(ctx.multiply(convert(high, width - half), powers[half]), low)
+
+    return str(convert(x, x.bit_length()))
 
 
 def _census_bounds(d: int, n: int) -> tuple[int, int]:
@@ -389,64 +402,110 @@ def _census_bounds(d: int, n: int) -> tuple[int, int]:
     return ndeg, njred
 
 
+def _repeat(block: int, width: int, count: int) -> int:
+    """``count`` copies of ``block``, one every ``width`` bits, built by
+    doubling shifts (O(log count) big-int operations)."""
+    out = shift = 0
+    while count:
+        if count & 1:
+            out |= block << shift
+            shift += width
+        block |= block << width
+        width *= 2
+        count >>= 1
+    return out
+
+
 class _CensusSpace:
-    """Precomputed projection index maps for bitmask enumeration of all
-    n-ary relations on a d-element domain."""
+    """Bit-parallel tests of n-ary relations on a d-element domain, each
+    relation a mask of d^n bits.
+
+    Bit i is the i-th cell of ``itertools.product(range(d), repeat=n)``,
+    so coordinate j has stride s_j = d^(n-1-j).  Projecting X along j ORs
+    its d slices along j into slice 0 (``X >> v*s_j`` for v < d, masked
+    to the cells whose j-th value is 0); the cylinder copies slice 0 back
+    to every slice (``<< v*s_j``).  Each is about d shifts and ORs on the
+    whole mask, and a projection along several coordinates keeps |pi| set
+    bits.
+
+    R is join reducible iff it equals the join of its (n-1)-projections,
+    i.e. the AND of their n cylinders.  R is degenerate iff some
+    bipartition (A, B) of the coordinates has |pi_A| * |pi_B| = |R|.
+    Degeneracy is tested only when the join test passes, since a Cartesian
+    product is a join reduction."""
 
     def __init__(self, d: int, n: int):
-        self.d, self.n = d, n
-        self.cells = list(itertools.product(range(d), repeat=n))
-        self.ncells = len(self.cells)
-        # bipartitions: (left positions, projection index maps for both sides)
-        self.bipartitions = []
-        for size in range(1, n // 2 + 1):
-            for combo in itertools.combinations(range(n), size):
-                if size == n - size and 0 not in combo:
-                    continue
-                rest = tuple(i for i in range(n) if i not in combo)
-                self.bipartitions.append(
-                    (self._proj_map(combo), self._proj_map(rest))
-                )
-        # (n-1)-ary projection maps for the join test
-        self.join_maps = [
-            self._proj_map(tuple(j for j in range(n) if j != i)) for i in range(n)
+        self.n = n
+        self.ncells = d ** n
+        # per coordinate j: the shifts v*s_j for 0 < v < d, and the cells
+        # whose j-th value is 0
+        self.axes = [
+            ([v * s for v in range(1, d)], _repeat((1 << s) - 1, d * s, d ** j))
+            for j, s in enumerate(d ** (n - 1 - j) for j in range(n))
         ]
+        # Every set of 2..n-1 dropped coordinates, depth first, as (parent
+        # slot, slot, coordinate dropped, kept coordinates as a bitmask).
+        # Slot j holds the projection dropping j; slot n + k - 2 the
+        # current set of k dropped coordinates, so at most 2n - 2
+        # projections are alive.
+        self.walk: list[tuple[int, int, int, int]] = []
+        for j in range(n):
+            self._plan(1 << j, j, j)
 
-    def _proj_map(self, positions: tuple[int, ...]) -> list[int]:
-        index: dict[tuple[int, ...], int] = {}
-        out = []
-        for cell in self.cells:
-            key = tuple(cell[i] for i in positions)
-            out.append(index.setdefault(key, len(index)))
-        return out
+    def _plan(self, dropped: int, last: int, parent: int) -> None:
+        full = (1 << self.n) - 1
+        slot = self.n + dropped.bit_count() - 1
+        for j in range(last + 1, self.n):
+            child = dropped | 1 << j
+            if child != full:
+                self.walk.append((parent, slot, j, full ^ child))
+                self._plan(child, j, slot)
 
-    def is_degenerate(self, mask: int) -> bool:
+    def classify(self, mask: int) -> tuple[bool, bool]:
+        """(degenerate, join_reducible) for the relation ``mask``."""
         if self.n < 2:
-            return False
-        cells_in = [i for i in range(self.ncells) if mask >> i & 1]
-        size = len(cells_in)
-        for lmap, rmap in self.bipartitions:
-            left = {lmap[i] for i in cells_in}
-            right = {rmap[i] for i in cells_in}
-            if len(left) * len(right) == size:
+            return False, False
+        joined = -1
+        projections = []
+        for shifts, zero in self.axes:
+            slice0 = mask
+            for shift in shifts:
+                slice0 |= mask >> shift
+            slice0 &= zero
+            projections.append(slice0)
+            cylinder = slice0
+            for shift in shifts:
+                cylinder |= slice0 << shift
+            joined &= cylinder
+        if joined != mask:
+            return False, False
+        return self._is_degenerate(mask.bit_count(), projections), True
+
+    def _is_degenerate(self, size: int, projections: list[int]) -> bool:
+        """Record |pi_kept| for every proper nonempty kept set and stop at
+        the first bipartition whose two projection sizes multiply to |R|.
+        The (n-1)-projections are recorded first, so that a factor on one
+        coordinate is found after its first descent."""
+        full = (1 << self.n) - 1
+        # a side not yet recorded reads 0, which matches only |R| = 0, and
+        # the empty relation is degenerate
+        card = {full ^ 1 << j: u.bit_count() for j, u in enumerate(projections)}
+        for kept, count in card.items():
+            if card.get(full ^ kept, 0) * count == size:
+                return True
+        level = projections + [0] * (self.n - 2)
+        for parent, slot, j, kept in self.walk:
+            # projected inline, as in classify: a call per projection costs
+            # about 40% at desk sizes
+            shifts, zero = self.axes[j]
+            x = slice0 = level[parent]
+            for shift in shifts:
+                slice0 |= x >> shift
+            level[slot] = slice0 = slice0 & zero
+            count = card[kept] = slice0.bit_count()
+            if card.get(full ^ kept, 0) * count == size:
                 return True
         return False
-
-    def is_join_reducible(self, mask: int) -> bool:
-        if self.n < 2:
-            return False
-        proj_masks = []
-        for pmap in self.join_maps:
-            pm = 0
-            for i in range(self.ncells):
-                if mask >> i & 1:
-                    pm |= 1 << pmap[i]
-            proj_masks.append(pm)
-        for i in range(self.ncells):
-            if not mask >> i & 1:
-                if all(pm >> pmap[i] & 1 for pm, pmap in zip(proj_masks, self.join_maps)):
-                    return False  # join adds a cell not in R
-        return True
 
 
 def _check_census_range(d: int, n: int) -> None:
@@ -467,10 +526,9 @@ def census(d: int, n: int, caps: Caps = DEFAULT_CAPS) -> CensusRow:
     space = _CensusSpace(d, n)
     deg = jred = 0
     for mask in range(2 ** space.ncells):
-        if space.is_degenerate(mask):
-            deg += 1
-        if space.is_join_reducible(mask):
-            jred += 1
+        is_deg, is_jred = space.classify(mask)
+        deg += is_deg
+        jred += is_jred
     bound_ndeg, bound_njred = _census_bounds(d, n)
     assert deg <= bound_ndeg, "degenerate count exceeds its counting bound"
     assert jred <= bound_njred, "join-reducible count exceeds its counting bound"
@@ -482,9 +540,11 @@ def census_sampled(
     d: int, n: int, samples: int, seed: int = 0, caps: Caps = DEFAULT_CAPS
 ) -> CensusRow:
     """Sampled census: counts over `samples` uniformly drawn relation
-    bitmasks.  Counts are per-sample, not extrapolated.  The d^n cells are
-    materialised, so d and n are held to the domain and arity caps first."""
+    bitmasks.  Counts are per-sample, not extrapolated.  Each mask has d^n
+    bits, so d and n are held to the domain and arity caps first."""
     _check_census_range(d, n)
+    if samples < 0:
+        raise PreconditionError(f"sampled census needs samples >= 0, got {samples}")
     if d > caps.max_domain or n > caps.max_arity:
         raise CapExceededError(
             f"sampled census over d={d}, n={n} exceeds caps "
@@ -494,11 +554,9 @@ def census_sampled(
     rng = random.Random(seed)
     deg = jred = 0
     for _ in range(samples):
-        mask = rng.getrandbits(space.ncells)
-        if space.is_degenerate(mask):
-            deg += 1
-        if space.is_join_reducible(mask):
-            jred += 1
+        is_deg, is_jred = space.classify(rng.getrandbits(space.ncells))
+        deg += is_deg
+        jred += is_jred
     bound_ndeg, bound_njred = _census_bounds(d, n)
     return CensusRow(
         d, n, 2 ** space.ncells, deg, jred, bound_ndeg, bound_njred,

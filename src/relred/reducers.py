@@ -75,6 +75,13 @@ def _certificate(
     return ReductionCertificate(target, f, env, {v: a for a, v in var.items()})
 
 
+def _label_count(d: int, k: int) -> int:
+    """d^k, the number of distinct k-parameter labels over d elements."""
+    if k < 0:
+        raise PreconditionError(f"parameter count k must be >= 0, got {k}")
+    return d ** k
+
+
 def _labeled_union(
     target: Relation,
     k: int,
@@ -169,12 +176,13 @@ def hypostatic_abstraction(rel: Relation, k: int) -> ReductionCertificate:
     if rel.arity == 0:
         raise ReductionRefused("trivial", "0-ary relations have nothing to factor")
     d = rel.domain.size
-    if len(rel) > d ** k:
+    labels = _label_count(d, k)
+    if len(rel) > labels:
         raise ReductionRefused(
             "cardinality",
-            f"|R| = {len(rel)} > {d}^{k} = {d ** k}: no k-key augmentation exists",
+            f"|R| = {len(rel)} > {d}^{k} = {labels}: no k-key augmentation exists",
             size=len(rel),
-            bound=d ** k,
+            bound=labels,
         )
     # one single-row product per tuple, in sorted order
     terms = ([[(v,)] for v in row] for row in sorted(rel.rows))
@@ -208,10 +216,11 @@ def neg_join_projoin(join_cert: ReductionCertificate, k: int) -> ReductionCertif
     n = target.arity
     big_n = len(atoms)
     max_arity = max(len(a.args) for a in atoms)
-    if big_n > d ** k:
+    labels = _label_count(d, k)
+    if big_n > labels:
         raise ReductionRefused(
             "inequality",
-            f"N = {big_n} > {d}^{k} = {d ** k}",
+            f"N = {big_n} > {d}^{k} = {labels}",
             violated="N <= d^k",
         )
     if k + max_arity > n - 1:
@@ -265,12 +274,13 @@ def union_to_projoin(
                 "partition_mismatch", "products are not over a common partition"
             )
     d = domain.size
-    if len(products) > d ** k:
+    labels = _label_count(d, k)
+    if len(products) > labels:
         raise ReductionRefused(
             "too_many_terms",
-            f"{len(products)} products > {d}^{k} = {d ** k}",
+            f"{len(products)} products > {d}^{k} = {labels}",
             terms=len(products),
-            bound=d ** k,
+            bound=labels,
         )
     target_attrs = core.canonical_attrs(ground)
     rows: set = set()

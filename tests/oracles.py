@@ -148,3 +148,54 @@ def union_of_at_most(cells, pieces, k):
         for size in range(k + 1)
         for combo in itertools.combinations(pieces, size)
     )
+
+
+class PerCellCensus:
+    """The census tests of n-ary relations on range(d) as first written:
+    bit i of a mask is the i-th cell of ``itertools.product(range(d),
+    repeat=n)``, and each test loops over the cells through projection
+    index maps (cell -> index of its projected tuple)."""
+
+    def __init__(self, d, n):
+        self.n = n
+        self.cells = list(itertools.product(range(d), repeat=n))
+        self.bipartitions = []
+        for size in range(1, n // 2 + 1):
+            for combo in itertools.combinations(range(n), size):
+                if size == n - size and 0 not in combo:
+                    continue
+                rest = tuple(i for i in range(n) if i not in combo)
+                self.bipartitions.append((self._proj_map(combo), self._proj_map(rest)))
+        self.join_maps = [
+            self._proj_map(tuple(j for j in range(n) if j != i)) for i in range(n)
+        ]
+
+    def _proj_map(self, positions):
+        index = {}
+        return [
+            index.setdefault(tuple(cell[i] for i in positions), len(index))
+            for cell in self.cells
+        ]
+
+    def is_degenerate(self, mask):
+        """Some bipartition has |pi_L| * |pi_R| = |R|."""
+        if self.n < 2:
+            return False
+        cells_in = [i for i in range(len(self.cells)) if mask >> i & 1]
+        return any(
+            len({lmap[i] for i in cells_in}) * len({rmap[i] for i in cells_in})
+            == len(cells_in)
+            for lmap, rmap in self.bipartitions
+        )
+
+    def is_join_reducible(self, mask):
+        """No cell outside R lies in every (n-1)-projection's cylinder."""
+        if self.n < 2:
+            return False
+        hit = [{pmap[i] for i in range(len(self.cells)) if mask >> i & 1}
+               for pmap in self.join_maps]
+        return not any(
+            all(pmap[i] in h for pmap, h in zip(self.join_maps, hit))
+            for i in range(len(self.cells))
+            if not mask >> i & 1
+        )

@@ -271,6 +271,43 @@ def test_census_sampled_over_caps_exit_4(runner, workdir, no_census_space):
     assert res.output.startswith("cap exceeded:") and res.output.count("\n") == 1
 
 
+def test_census_negative_sample_exit_3(runner, workdir):
+    res = run(runner, workdir, "census", "--d", "2", "--n", "2", "--sample", "-3")
+    assert res.exit_code == 3
+    assert res.output == "error: sampled census needs samples >= 0, got -3\n"
+    res = run(runner, workdir, "census", "--d", "2", "--n", "2", "--sample", "0")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[1] == "2,2,16,0,0,16,16,sampled,0"
+
+
+def test_census_sampled_prints_past_the_int_digit_limit(runner, workdir):
+    # 2^(4^7) has 4933 digits, more than str(int) allows by default
+    res = run(runner, workdir, "census", "--d", "4", "--n", "7", "--sample", "1")
+    assert res.exit_code == 0
+    d, n, total = res.output.splitlines()[1].split(",")[:3]
+    assert (d, n, len(total), total[:6], total[-4:]) == ("4", "7", 4933, "118973", "6816")
+    res = run(runner, workdir, "--format", "json", "census", "--d", "4", "--n", "7",
+              "--sample", "1")
+    assert res.exit_code == 0 and f'"total": {total},' in res.output
+
+
+@pytest.mark.parametrize("rows", ["a b\n", ""], ids=["one_row", "empty"])
+def test_reduce_negative_hypostatic_exit_3(runner, workdir, rows):
+    (workdir / "R.rel").write_text("@relation R over D2(a,b)\n1 2\n" + rows)
+    res = run(runner, workdir, "reduce", "R.rel", "--hypostatic", "-1", "-o", "h")
+    assert res.exit_code == 3 and not (workdir / "h").exists()
+    assert res.output == "error: parameter count k must be >= 0, got -1\n"
+
+
+def test_reduce_negative_neg_join_k_exit_3(runner, workdir):
+    assert run(runner, workdir, "reduce", "I4.rel", "--key", "1",
+               "-o", "jc").exit_code == 0
+    res = run(runner, workdir, "reduce", "I4.rel", "--neg-join", "jc",
+              "-k", "-1", "-o", "nc")
+    assert res.exit_code == 3 and not (workdir / "nc").exists()
+    assert res.output == "error: parameter count k must be >= 0, got -1\n"
+
+
 def test_verify_symlink_inside_bundle_accepted(bundle, workdir):
     manifest, write = bundle
     (workdir / "cb" / "link.rel").symlink_to(workdir / "cb" / manifest["target"])
