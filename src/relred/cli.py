@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 
 import click
@@ -68,8 +69,6 @@ def _load_rel(path: str):
 
 
 def _load_cert(path: str):
-    import os
-
     if os.path.isdir(path):
         path = os.path.join(path, "certificate.json")
     return formula.load_certificate(path)
@@ -118,10 +117,7 @@ def eval_cmd(ctx, formula_file, env_files, free, out):
     """Evaluate a formula file against an environment of relations."""
     with open(formula_file) as fh:
         f = formula.parse(fh.read())
-    env = {}
-    for path in env_files:
-        name, rel = _load_rel(path)
-        env[name] = rel
+    env = dict(_load_rel(path) for path in env_files)
     free_order = _parse_attr_list(free) if free else None
     value = formula.evaluate(f, env, free_order)
     text = core.dump_relation(value, "result")
@@ -245,7 +241,7 @@ def merge_cmd(ctx, cert_file, out):
 @_handle_errors
 def diagram_cmd(ctx, source, dot_out, stats):
     """Bonding diagram of a formula file or certificate bundle."""
-    if source.endswith(".json") or __import__("os").path.isdir(source):
+    if source.endswith(".json") or os.path.isdir(source):
         f = _load_cert(source).formula
     else:
         with open(source) as fh:

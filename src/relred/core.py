@@ -7,20 +7,22 @@ the ordering is a storage convention only and never carries meaning.
 
 All values are immutable; every operation returns a fresh relation.
 
-Values are validated where they enter: ``Domain(...)`` checks its element
-symbols, and the public ``Relation(...)`` constructor -- hence also
+Values are validated where they enter: ``Domain(...)`` checks its name and
+element symbols, and the public ``Relation(...)`` constructor -- hence also
 ``Relation.make`` and ``load_relation``, which go through it -- checks the
-attribute order, every row's length and every value's domain membership.
-The operators (``project``, ``select``, ``rename``, ``complement``,
-``standard``, ``join`` and what is built on them) trust their already
-validated inputs: they build results with ``_relation``, which sets the
-fields without checking them again.
+attribute names and order, every row's length and every value's domain
+membership.  The operators (``project``, ``select``, ``rename``,
+``complement``, ``standard``, ``projoin`` and what is built on them) trust
+their validated inputs and build results with ``_relation``, unchecked;
+``projoin`` is the one join loop, and a derived scheme is filtered out of
+a canonical one, not re-sorted.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -46,6 +48,13 @@ def attr_key(name: str):
     return (1, 0, name)
 
 
+def _check_names(names: Iterable[str], what: str) -> None:
+    """Refuse a name the ``.rel`` format cannot carry, ``.`` included."""
+    for name in names:
+        if name == "." or not _NAME_RE.fullmatch(name):
+            raise PreconditionError(f"bad {what} {name!r}")
+
+
 def canonical_attrs(attrs: Iterable[str]) -> tuple[str, ...]:
     out = sorted(attrs, key=attr_key)
     for a, b in zip(out, out[1:]):
@@ -69,9 +78,8 @@ class Domain:
             raise PreconditionError("domain must have at least one element")
         if len(set(self.elements)) != len(self.elements):
             raise PreconditionError("domain elements must be distinct")
-        for e in self.elements:
-            if not _NAME_RE.match(e):
-                raise PreconditionError(f"bad element symbol {e!r}")
+        _check_names((self.name,), "domain name")
+        _check_names(self.elements, "element symbol")
         if len(self.elements) > DEFAULT_CAPS.max_domain:
             raise PreconditionError(
                 f"domain size {len(self.elements)} exceeds cap {DEFAULT_CAPS.max_domain}"
@@ -101,6 +109,7 @@ class Relation:
     rows: frozenset[tuple[str, ...]] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        _check_names(self.attrs, "attribute name")
         if self.attrs != canonical_attrs(self.attrs):
             raise AttributeSchemeError("attributes not in canonical order; use Relation.make")
         arity = len(self.attrs)
@@ -210,6 +219,7 @@ def standard(
     if isinstance(scheme, int):
         scheme = [str(i + 1) for i in range(scheme)]
     attrs = canonical_attrs(scheme)
+    _check_names(attrs, "attribute name")
     if restrict is None:
         pool: tuple[str, ...] = domain.elements
     else:
@@ -232,29 +242,38 @@ def standard(
     return _relation(domain, attrs, frozenset(rows))
 
 
-def project(rel: Relation, keep: Iterable[str]) -> Relation:
-    keep_attrs = canonical_attrs(keep)
-    missing = set(keep_attrs) - rel.scheme
+def _wanted(attrs: Iterable[str], scheme: Iterable[str]) -> frozenset[str]:
+    """``attrs`` as a set, refusing a duplicate or a name outside ``scheme``."""
+    given = tuple(attrs)
+    want = frozenset(given)
+    if len(want) != len(given):
+        dup = min((a for a in want if given.count(a) > 1), key=attr_key)
+        raise AttributeSchemeError(f"duplicate attribute {dup!r}")
+    missing = want.difference(scheme)
     if missing:
         raise AttributeSchemeError(f"attributes {sorted(missing)} not in scheme")
-    pick = _picker([rel.attrs.index(a) for a in keep_attrs])
-    return _relation(rel.domain, keep_attrs, frozenset(map(pick, rel.rows)))
+    return want
+
+
+def project(rel: Relation, keep: Iterable[str]) -> Relation:
+    want = _wanted(keep, rel.attrs)
+    attrs = tuple(a for a in rel.attrs if a in want)
+    pick = _picker([rel.attrs.index(a) for a in attrs])
+    return _relation(rel.domain, attrs, frozenset(map(pick, rel.rows)))
 
 
 def select(rel: Relation, on: Iterable[str], values: Mapping[str, str] | Sequence[str]) -> Relation:
     """Keep rows whose ``on`` columns equal ``values``, then drop those
     columns; the result scheme is the complement of ``on``."""
-    on_attrs = canonical_attrs(on)
-    missing = set(on_attrs) - rel.scheme
-    if missing:
-        raise AttributeSchemeError(f"attributes {sorted(missing)} not in scheme")
+    on_set = _wanted(on, rel.attrs)
+    on_attrs = tuple(a for a in rel.attrs if a in on_set)
     if isinstance(values, Mapping):
         want = tuple(values[a] for a in on_attrs)
     else:
         if len(values) != len(on_attrs):
             raise AttributeSchemeError("selection tuple length mismatch")
         want = tuple(values)
-    rest = tuple(a for a in rel.attrs if a not in set(on_attrs))
+    rest = tuple(a for a in rel.attrs if a not in on_set)
     pick_on = _picker([rel.attrs.index(a) for a in on_attrs])
     pick_rest = _picker([rel.attrs.index(a) for a in rest])
     rows = frozenset(pick_rest(row) for row in rel.rows if pick_on(row) == want)
@@ -282,6 +301,7 @@ def rename(rel: Relation, mapping: Mapping[str, str]) -> Relation:
     if set(mapping) != rel.scheme or len(set(mapping.values())) != rel.arity:
         raise AttributeSchemeError("rename mapping is not a bijection on the scheme")
     new_attrs = canonical_attrs(mapping.values())
+    _check_names(new_attrs, "attribute name")
     # position of old attr carrying each new attr's values
     src = {mapping[a]: i for i, a in enumerate(rel.attrs)}
     pick = _picker([src[a] for a in new_attrs])
@@ -307,16 +327,13 @@ def cartesian(relations: Sequence[Relation]) -> Relation:
 
 def join(relations: Sequence[Relation]) -> Relation:
     """Natural join: concatenations of tuples that agree on shared attributes."""
-    _same_domain(relations)
-    acc = relations[0]
-    for r in relations[1:]:
-        acc = _join2(acc, r)
-    return acc
+    return projoin(relations, {a for r in relations for a in r.attrs})
 
 
 def _join2(a: Relation, b: Relation) -> Relation:
-    shared = canonical_attrs(a.scheme & b.scheme)
-    out_attrs = canonical_attrs(a.scheme | b.scheme)
+    b_scheme = b.scheme
+    shared = tuple(x for x in a.attrs if x in b_scheme)
+    out_attrs = canonical_attrs(a.scheme | b_scheme)
     a_key = _picker([a.attrs.index(x) for x in shared])
     b_key = _picker([b.attrs.index(x) for x in shared])
     index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
@@ -334,9 +351,21 @@ def _join2(a: Relation, b: Relation) -> Relation:
 
 
 def projoin(relations: Sequence[Relation], keep: Iterable[str]) -> Relation:
-    """Projective join: the natural join projected to ``keep``."""
-    joined = join(relations)
-    return project(joined, keep)
+    """Projective join: the natural join projected to ``keep``, and the one
+    join loop.  It joins in the order given and projects each attribute
+    outside ``keep`` out right after the last relation that carries it
+    (early projection, Yannakakis 1981)."""
+    _same_domain(relations)
+    last = {a: i for i, r in enumerate(relations) for a in r.attrs}
+    want = _wanted(keep, last)
+    acc = relations[0]
+    for i, r in enumerate(relations):
+        if i:
+            acc = _join2(acc, r)
+        needed = tuple(a for a in acc.attrs if a in want or last[a] > i)
+        if needed != acc.attrs:
+            acc = project(acc, needed)
+    return acc
 
 
 def relative_product(a: Relation, b: Relation) -> Relation:
@@ -353,10 +382,7 @@ def bond_eval(relations: Sequence[Relation]) -> Relation:
     factor schemes.
     """
     _same_domain(relations)
-    counts: dict[str, int] = {}
-    for r in relations:
-        for a in r.attrs:
-            counts[a] = counts.get(a, 0) + 1
+    counts = Counter(a for r in relations for a in r.attrs)
     bad = sorted(a for a, c in counts.items() if c > 2)
     if bad:
         raise BondabilityError(f"attributes {bad} occur in three or more schemes")

@@ -31,9 +31,10 @@ from .formula import (
     evaluate,
     flatten,
     free_vars,
+    prenex,
     var_key,
 )
-from .reducers import _caterpillar, _wrap
+from .reducers import _caterpillar
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +325,7 @@ def explicate(f: Formula, env: dict[str, Relation]) -> tuple[Formula, dict[str, 
     final_params += sorted(internal, key=var_key)
     body_atoms = [Atom(a.symbol, tuple(args)) for a, args in zip(new_atoms, rewritten)]
     body_atoms += chain_atoms
-    return _wrap(final_params, body_atoms), out_env
+    return prenex(final_params, body_atoms), out_env
 
 
 def explicate_certificate(cert: ReductionCertificate) -> ReductionCertificate:
@@ -395,7 +396,7 @@ def de_explicate(
         raise PreconditionError(
             f"redundant closed component around {dangling}"
         )
-    return _wrap(params, atoms), out_env
+    return prenex(params, atoms), out_env
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +476,7 @@ def merge_complete(cert: ReductionCertificate) -> ReductionCertificate:
     assert ternaries_out <= ternaries_in
     assert all(len(a.args) <= 3 for a in atoms)
     atoms.sort(key=lambda a: (a.symbol, a.args))
-    out = _wrap(params, atoms)
+    out = prenex(params, atoms)
     needed = {a.symbol for a in atoms}
     out_env = {s: r for s, r in env.items() if s in needed}
     return ReductionCertificate(cert.target, out, out_env, dict(cert.var_map))

@@ -11,7 +11,10 @@ with variables ``[a-z][a-z0-9_]*`` and symbols ``[A-Z][A-Za-z0-9_]*``.
 Evaluation is extensional: an atom's arguments map positionally onto the
 canonical attribute order of the relation bound to its symbol, repeated
 variables select the diagonal, conjunction joins, and quantification
-projects.
+projects.  A formula is evaluated as one projoin: ``flatten`` renames its
+bound variables apart and lists its atoms, and ``core.projoin`` joins the
+atoms' relations in that order, projecting each bound variable out right
+after its last atom.  ``Conj`` splices nested conjunctions into one.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
@@ -55,6 +59,9 @@ class Conj:
     def __post_init__(self):
         if not self.parts:
             raise PreconditionError("empty conjunction")
+        # a nested conjunction is spliced in, so conjunctions stay flat
+        flat = (q for p in self.parts for q in (p.parts if isinstance(p, Conj) else (p,)))
+        object.__setattr__(self, "parts", tuple(flat))
 
 
 @dataclass(frozen=True)
@@ -81,10 +88,7 @@ def free_vars(f: Formula) -> frozenset[str]:
     if isinstance(f, Atom):
         return frozenset(f.args)
     if isinstance(f, Conj):
-        out: frozenset[str] = frozenset()
-        for p in f.parts:
-            out |= free_vars(p)
-        return out
+        return frozenset().union(*map(free_vars, f.parts))
     return free_vars(f.body) - f.variables
 
 
@@ -92,10 +96,7 @@ def bound_anywhere(f: Formula) -> frozenset[str]:
     if isinstance(f, Atom):
         return frozenset()
     if isinstance(f, Conj):
-        out: frozenset[str] = frozenset()
-        for p in f.parts:
-            out |= bound_anywhere(p)
-        return out
+        return frozenset().union(*map(bound_anywhere, f.parts))
     return f.variables | bound_anywhere(f.body)
 
 
@@ -244,50 +245,33 @@ def evaluate(
     ``f``; it pins the external variable/position correspondence but does
     not affect the result (attribute order is never semantic).
     """
-    if free_order is not None and set(free_order) != set(free_vars(f)):
+    params, atoms = flatten(f)
+    free = {v for a in atoms for v in a.args}.difference(params)
+    if free_order is not None and set(free_order) != free:
         raise PreconditionError("free_order does not match the formula's free variables")
     domain = env_domain(env)
-    return _eval(f, env, domain)
+    return core.projoin([_atom_relation(a, env, domain) for a in atoms], free)
 
 
-def _eval(f: Formula, env: Environment, domain: Domain) -> Relation:
-    if isinstance(f, Atom):
-        try:
-            rel = env[f.symbol]
-        except KeyError:
-            raise PreconditionError(f"unbound relation symbol {f.symbol!r}") from None
-        if rel.arity != len(f.args):
-            raise PreconditionError(
-                f"arity mismatch: {f.symbol} has arity {rel.arity}, atom has {len(f.args)}"
-            )
-        out_attrs = core.canonical_attrs(set(f.args))
-        first: dict[str, int] = {}
-        for p, var in enumerate(f.args):
-            first.setdefault(var, p)
-        pick = core._picker([first[v] for v in out_attrs])
-        # a repeated variable selects the diagonal of its columns
-        repeats = [(p, first[v]) for p, v in enumerate(f.args) if first[v] != p]
-        rows = rel.rows
-        if repeats:
-            rows = (r for r in rows if all(r[p] == r[q] for p, q in repeats))
-        return core._relation(domain, out_attrs, frozenset(map(pick, rows)))
-    if isinstance(f, Conj):
-        return core.join([_eval(p, env, domain) for p in f.parts])
-    if isinstance(f.body, Conj):
-        # project bound variables out as soon as no later conjunct uses
-        # them, so intermediate arity stays close to the final arity
-        parts = f.body.parts
-        keep_always = free_vars(f)
-        acc = _eval(parts[0], env, domain)
-        for i, p in enumerate(parts[1:], start=2):
-            acc = core._join2(acc, _eval(p, env, domain))
-            later = frozenset().union(*(free_vars(q) for q in parts[i:])) \
-                if i < len(parts) else frozenset()
-            needed = keep_always | later
-            acc = core.project(acc, acc.scheme & needed)
-        return core.project(acc, keep_always)
-    body = _eval(f.body, env, domain)
-    return core.project(body, free_vars(f))
+def _atom_relation(atom: Atom, env: Environment, domain: Domain) -> Relation:
+    """The relation of one atom: its symbol's relation with the arguments as
+    attributes, a repeated variable selecting the diagonal of its columns."""
+    try:
+        rel = env[atom.symbol]
+    except KeyError:
+        raise PreconditionError(f"unbound relation symbol {atom.symbol!r}") from None
+    if rel.arity != len(atom.args):
+        raise PreconditionError(
+            f"arity mismatch: {atom.symbol} has arity {rel.arity}, atom has {len(atom.args)}"
+        )
+    out_attrs = core.canonical_attrs(set(atom.args))
+    first = {v: atom.args.index(v) for v in atom.args}
+    pick = core._picker([first[v] for v in out_attrs])
+    repeats = [(p, first[v]) for p, v in enumerate(atom.args) if first[v] != p]
+    rows = rel.rows
+    if repeats:
+        rows = (r for r in rows if all(r[p] == r[q] for p, q in repeats))
+    return core._relation(domain, out_attrs, frozenset(map(pick, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +300,12 @@ class FreshNames:
 def normalize(f: Formula) -> Formula:
     """Prenex form: one leading quantifier block over a flat conjunction
     of atoms, with bound variables renamed apart."""
-    params, atoms = flatten(f)
+    return prenex(*flatten(f))
+
+
+def prenex(params: Sequence[str], atoms: Sequence[Atom]) -> Formula:
+    """``exists params . A1 & ... & Am``, with no quantifier when ``params``
+    is empty and no conjunction for a single atom."""
     body: Formula = atoms[0] if len(atoms) == 1 else Conj(tuple(atoms))
     return Exists(frozenset(params), body) if params else body
 
@@ -332,7 +321,8 @@ def flatten(f: Formula) -> tuple[tuple[str, ...], tuple[Atom, ...]]:
 
 def _flatten(f, subst, params, atoms, names):
     if isinstance(f, Atom):
-        atoms.append(Atom(f.symbol, tuple(subst.get(v, v) for v in f.args)))
+        args = tuple(subst.get(v, v) for v in f.args)
+        atoms.append(f if args == f.args else Atom(f.symbol, args))
     elif isinstance(f, Conj):
         for p in f.parts:
             _flatten(p, subst, params, atoms, names)
@@ -372,17 +362,8 @@ def classify(f: Formula) -> ClassifyResult:
     """
     params, atoms = flatten(f)
     bound = set(params)
-    atom_count: dict[str, int] = {}
-    slot_count: dict[str, int] = {}
-    repeated_in_atom = False
-    for a in atoms:
-        distinct = set(a.args)
-        if len(distinct) != len(a.args):
-            repeated_in_atom = True
-        for v in distinct:
-            atom_count[v] = atom_count.get(v, 0) + 1
-        for v in a.args:
-            slot_count[v] = slot_count.get(v, 0) + 1
+    atom_count = Counter(v for a in atoms for v in set(a.args))
+    repeated_in_atom = any(len(set(a.args)) != len(a.args) for a in atoms)
     shared = {v for v, c in atom_count.items() if c >= 2}
     arities = tuple(len(a.args) for a in atoms)
     is_bond = (

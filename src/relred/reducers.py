@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 from . import core, dependencies
 from .core import Domain, Relation
 from .errors import AttributeSchemeError, PreconditionError, ReductionRefused
-from .formula import Atom, Conj, Exists, Formula, ReductionCertificate
+from .formula import Atom, Conj, ReductionCertificate, prenex
 
 
 def _target_vars(rel: Relation) -> dict[str, str]:
@@ -54,11 +54,6 @@ def _fresh_attrs(scheme: frozenset[str], k: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _wrap(params: Sequence[str], atoms: Sequence[Atom]) -> Formula:
-    body: Formula = atoms[0] if len(atoms) == 1 else Conj(tuple(atoms))
-    return Exists(frozenset(params), body) if params else body
-
-
 def _certificate(
     target: Relation, env: dict[str, Relation], params: dict[str, str]
 ) -> ReductionCertificate:
@@ -71,7 +66,7 @@ def _certificate(
         Atom(symbol, tuple(var_all[a] for a in factor.attrs))
         for symbol, factor in env.items()
     ]
-    f = _wrap(tuple(params.values()), atoms)
+    f = prenex(tuple(params.values()), atoms)
     return ReductionCertificate(target, f, env, {v: a for a, v in var.items()})
 
 
@@ -301,7 +296,7 @@ def identity_chain(n: int, domain: Domain) -> ReductionCertificate:
     i3 = core.standard("identity", 3, domain)
     xs = [f"x{i}" for i in range(1, n + 1)]
     ts = [f"t{i}" for i in range(1, n - 2)]
-    f = _wrap(ts, _caterpillar(xs, ts))
+    f = prenex(ts, _caterpillar(xs, ts))
     env = {"I3": i3}
     var_map = {x: str(i + 1) for i, x in enumerate(xs)}
     return ReductionCertificate(target, f, env, var_map)

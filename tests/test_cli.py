@@ -114,6 +114,17 @@ def test_refusal_exit_3(runner, workdir):
     assert "mvd_fails" in res.output
 
 
+@pytest.mark.parametrize("text, message", [
+    ("@relation R over D(.,a)\n1\n.\n", "bad element symbol '.'"),
+    ("@relation R over D(a,b)\nx.1 x|y\na b\n", "bad attribute name 'x|y'"),
+])
+def test_names_the_format_cannot_carry_exit_3(runner, workdir, text, message):
+    (workdir / "bad.rel").write_text(text)
+    res = run(runner, workdir, "deps", "bad.rel", "--keys", "1")
+    assert res.exit_code == 3
+    assert message in res.output
+
+
 def test_cap_exit_4(runner, workdir):
     res = run(runner, workdir, "census", "--d", "3", "--n", "3")
     assert res.exit_code == 4

@@ -155,7 +155,39 @@ def test_bond_eval_matches_reference(rels):
     assert as_set(got) == ref_project(ref_join(rels), keep)
 
 
+@PROPS
+@given(relation_lists(3), st.data())
+def test_projoin_matches_reference(rels, data):
+    union = sorted({a for r in rels for a in r.attrs})
+    keep = data.draw(st.sets(st.sampled_from(union))) if union else set()
+    got = revalidated(core.projoin(rels, keep))
+    assert got.scheme == frozenset(keep)
+    assert as_set(got) == ref_project(ref_join(rels), keep)
+    with pytest.raises(AttributeSchemeError, match="not in scheme"):
+        core.projoin(rels, keep | {"q"})
+
+
 VARS = ("u", "v", "w")
+
+
+@st.composite
+def formulas_over(draw, env, depth=3):
+    """Atoms, conjunctions and quantifiers nested up to ``depth`` deep; a
+    quantifier may bind a variable that is also free elsewhere or bound
+    further out, as in ``P(u,v) & (exists u . Q(u))``."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        sym = draw(st.sampled_from(("P", "Q")))
+        arity = env[sym].arity
+        args = draw(st.lists(st.sampled_from(VARS), min_size=arity, max_size=arity))
+        return formula.Atom(sym, tuple(args))
+    if draw(st.booleans()):
+        parts = draw(st.lists(formulas_over(env, depth - 1), min_size=2, max_size=3))
+        return formula.Conj(tuple(parts))
+    body = draw(formulas_over(env, depth - 1))
+    free = sorted(formula.free_vars(body))
+    if not free:
+        return body
+    return formula.Exists(frozenset(draw(st.sets(st.sampled_from(free), min_size=1))), body)
 
 
 @st.composite
@@ -165,39 +197,71 @@ def conjunctions(draw):
         sym: draw(relations(domain, scheme=[str(i + 1) for i in range(arity)]))
         for sym, arity in (("P", draw(st.integers(1, 3))), ("Q", draw(st.integers(1, 2))))
     }
-    atoms = [
-        formula.Atom(sym, tuple(draw(st.lists(st.sampled_from(VARS),
-                                              min_size=env[sym].arity,
-                                              max_size=env[sym].arity))))
-        for sym in draw(st.lists(st.sampled_from(("P", "Q")), min_size=1, max_size=3))
-    ]
-    f = atoms[0] if len(atoms) == 1 else formula.Conj(tuple(atoms))
-    used = sorted(formula.free_vars(f))
-    bound = draw(st.sets(st.sampled_from(used), max_size=len(used) - 1))
-    if bound:
-        f = formula.Exists(frozenset(bound), f)
-    return f, env
+    return draw(formulas_over(env)), env
+
+
+def ref_free(f):
+    if isinstance(f, formula.Atom):
+        return set(f.args)
+    if isinstance(f, formula.Conj):
+        return set().union(*map(ref_free, f.parts))
+    return ref_free(f.body) - f.variables
+
+
+def ref_holds(f, env, val):
+    """Whether ``f`` holds under the assignment ``val``, by recursion on
+    the formula; a quantifier tries every value of its variables, which
+    hide any outer value of the same name."""
+    if isinstance(f, formula.Atom):
+        return tuple(val[v] for v in f.args) in env[f.symbol].rows
+    if isinstance(f, formula.Conj):
+        return all(ref_holds(p, env, val) for p in f.parts)
+    bound = sorted(f.variables)
+    elements = formula.env_domain(env).elements
+    return any(
+        ref_holds(f.body, env, {**val, **dict(zip(bound, values))})
+        for values in itertools.product(elements, repeat=len(bound))
+    )
 
 
 def ref_evaluate(f, env):
-    """Satisfying assignments by brute force over all variable values."""
-    params, atoms = formula.flatten(f)
-    variables = sorted({v for a in atoms for v in a.args})
-    domain = formula.env_domain(env)
+    """Satisfying assignments by brute force over all free-variable values,
+    without renaming bound variables apart."""
+    free = sorted(ref_free(f))
+    elements = formula.env_domain(env).elements
     out = set()
-    for values in itertools.product(domain.elements, repeat=len(variables)):
-        val = dict(zip(variables, values))
-        if all(tuple(val[v] for v in a.args) in env[a.symbol].rows for a in atoms):
-            out.add(frozenset((v, val[v]) for v in variables if v not in params))
+    for values in itertools.product(elements, repeat=len(free)):
+        val = dict(zip(free, values))
+        if ref_holds(f, env, val):
+            out.add(frozenset(val.items()))
     return out
 
 
-@PROPS
+# P and Q binary; a bound u shadowing a free u, then a bound one
+SHADOWING = (
+    "P(u,v) & (exists u . Q(u,u))",
+    "exists u . P(u,v) & (exists u . Q(u,w))",
+    "exists v . (exists u . P(u,v)) & Q(u,v) & (exists u, v . P(u,v))",
+)
+
+
+@settings(PROPS, max_examples=100)
 @given(conjunctions())
 def test_evaluate_matches_reference(case):
     f, env = case
     got = revalidated(formula.evaluate(f, env))
-    assert got.scheme == formula.free_vars(f)
+    assert got.scheme == ref_free(f)
+    assert as_set(got) == ref_evaluate(f, env)
+
+
+@pytest.mark.parametrize("text", SHADOWING)
+@PROPS
+@given(domains().flatmap(lambda d: st.tuples(relations(d, scheme=["1", "2"]),
+                                             relations(d, scheme=["1", "2"]))))
+def test_evaluate_shadowed_variables(text, pair):
+    f = formula.parse(text)
+    env = dict(zip(("P", "Q"), pair))
+    got = revalidated(formula.evaluate(f, env))
     assert as_set(got) == ref_evaluate(f, env)
 
 

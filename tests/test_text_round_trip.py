@@ -1,22 +1,24 @@
 """Round trips through the two text formats: ``parse(render(f)) == f`` for
 formulas and ``load_relation(dump_relation(r)) == (name, r)`` for relations.
 
-Conjunctions are generated flat (their parts are atoms or quantified
-formulas), the shape every certificate construction produces and the
-parser returns for text without a parenthesized conjunction.  Names are
-drawn from pools that the formats can represent: element symbols and
-attributes without whitespace, and never ``.``, which the relation format
-reserves for the empty scheme and the empty row.  Examples are derandomized so that the
-suite stays deterministic.
+Conjunctions are generated with conjunctions among their parts, which
+``Conj`` splices in, as the parser does for a parenthesized conjunction.
+Names are drawn from pools that include dots, digits and non-ASCII
+letters; the constructors refuse every name the relation format cannot
+carry (whitespace, any of ``#(),|``, and the bare ``.`` that marks the
+empty scheme and the empty row), so no generated relation needs avoiding.
+Examples are derandomized so that the suite stays deterministic.
 """
 
 import itertools
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relred import core
 from relred.core import Domain, Relation
+from relred.errors import PreconditionError
 from relred.formula import Atom, Conj, Exists, free_vars, parse, render
 
 PROPS = settings(
@@ -39,10 +41,7 @@ def formulas(draw, depth=3):
         args = draw(st.lists(st.sampled_from(VARIABLES), min_size=1, max_size=3))
         return Atom(symbol, tuple(args))
     if draw(st.booleans()):
-        parts = draw(st.lists(
-            formulas(depth - 1).filter(lambda f: not isinstance(f, Conj)),
-            min_size=2, max_size=3,
-        ))
+        parts = draw(st.lists(formulas(depth - 1), min_size=2, max_size=3))
         return Conj(tuple(parts))
     body = draw(formulas(depth - 1))
     free = sorted(free_vars(body))
@@ -59,9 +58,16 @@ def test_parse_render_round_trip(f):
     assert render(parse(text)) == text
 
 
-ELEMENTS = ("a", "b", "c", "10", "2", "x_1", "é")
+def test_parenthesized_conjunction_is_flat():
+    nested = parse("(P(x) & Q(x)) & R(x)")
+    assert nested == parse("P(x) & Q(x) & R(x)")
+    assert nested == Conj((Conj((Atom("P", ("x",)), Atom("Q", ("x",)))), Atom("R", ("x",))))
+    assert parse(render(nested)) == nested
+
+
+ELEMENTS = ("a", "b", "c", "10", "2", "x_1", "é", "a.b", "..")
 # numeric names sort numerically ("10" after "2"), the rest lexically
-ATTRS = ("1", "2", "10", "x", "y", "t1")
+ATTRS = ("1", "2", "10", "x", "y", "t1", "x.1", "é")
 
 
 @st.composite
@@ -69,7 +75,7 @@ def named_relations(draw):
     # elements in drawn order: the display order is part of the domain
     elements = draw(st.lists(st.sampled_from(ELEMENTS), unique=True, min_size=1,
                              max_size=3))
-    domain = Domain(draw(st.sampled_from(("D", "D2", "Dom_x"))), tuple(elements))
+    domain = Domain(draw(st.sampled_from(("D", "D2", "Dom_x", "D.1"))), tuple(elements))
     attrs = core.canonical_attrs(draw(st.sets(st.sampled_from(ATTRS), max_size=3)))
     cells = list(itertools.product(domain.elements, repeat=len(attrs)))
     rows = draw(st.sets(st.sampled_from(cells), max_size=10))
@@ -84,3 +90,28 @@ def test_dump_load_round_trip(case):
     text = core.dump_relation(rel, name)
     assert core.load_relation(text) == (name, rel)
     assert core.dump_relation(core.load_relation(text)[1], name) == text
+
+
+BAD_NAMES = (".", "x y", "a\n", "#", "a,b", "(", "a)", "|", "")
+
+
+def test_element_dot_is_refused():
+    with pytest.raises(PreconditionError, match="bad element symbol '.'"):
+        Relation.make(Domain("D", (".", "a")), ("1",), [(".",)])
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+def test_names_the_format_cannot_carry_are_refused(name):
+    d = Domain("D", ("a", "b"))
+    with pytest.raises(PreconditionError, match="bad element symbol"):
+        Domain("D", ("a", name))
+    with pytest.raises(PreconditionError, match="bad domain name"):
+        Domain(name, ("a",))
+    with pytest.raises(PreconditionError, match="bad attribute name"):
+        Relation(d, (name,), frozenset())
+    with pytest.raises(PreconditionError, match="bad attribute name"):
+        Relation.make(d, ("1", name), [("a", "b")])
+    with pytest.raises(PreconditionError, match="bad attribute name"):
+        core.standard("identity", ["1", name], d)
+    with pytest.raises(PreconditionError, match="bad attribute name"):
+        core.rename(core.standard("universal", 1, d), {"1": name})
