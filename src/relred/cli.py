@@ -122,8 +122,7 @@ def eval_cmd(ctx, formula_file, env_files, free, out):
     value = formula.evaluate(f, env, free_order)
     text = core.dump_relation(value, "result")
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        formula._write_text(out, text)
     else:
         _echo(text, nl=False)
 
@@ -250,8 +249,7 @@ def diagram_cmd(ctx, source, dot_out, stats):
     dg = diagrams.to_bonding_diagram(graph)
     text = diagrams.emit_dot(dg)
     if dot_out:
-        with open(dot_out, "w") as fh:
-            fh.write(text)
+        formula._write_text(dot_out, text)
     else:
         _echo(text, nl=False)
     if stats:

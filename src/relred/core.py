@@ -21,6 +21,7 @@ a canonical one, not re-sorted.
 from __future__ import annotations
 
 import itertools
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -110,7 +111,9 @@ class Relation:
 
     def __post_init__(self):
         _check_names(self.attrs, "attribute name")
-        if self.attrs != canonical_attrs(self.attrs):
+        keys = [attr_key(a) for a in self.attrs]
+        if not isinstance(self.attrs, tuple) or any(a >= b for a, b in zip(keys, keys[1:])):
+            canonical_attrs(self.attrs)  # raises on a duplicate
             raise AttributeSchemeError("attributes not in canonical order; use Relation.make")
         arity = len(self.attrs)
         members = self.domain._members
@@ -413,6 +416,9 @@ _HEADER_RE = re.compile(
 
 
 def dump_relation(rel: Relation, name: str = "R") -> str:
+    _check_names((name,), "relation name")
+    if os.sep in name:  # save_certificate makes the name a file stem
+        raise PreconditionError(f"bad relation name {name!r}")
     lines = [
         f"@relation {name} over {rel.domain.name}({','.join(rel.domain.elements)})",
         " ".join(rel.attrs) if rel.attrs else ".",

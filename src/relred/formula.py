@@ -20,6 +20,7 @@ after its last atom.  ``Conj`` splices nested conjunctions into one.
 from __future__ import annotations
 
 import json
+import locale
 import os
 import re
 from collections import Counter
@@ -471,20 +472,44 @@ def check_certificate(cert: ReductionCertificate) -> CertificateVerdict:
 # ---------------------------------------------------------------------------
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, rewriting an existing file in place.
+
+    The file is opened without ``O_TRUNC`` and, when it was longer, cut to
+    the length written afterwards, so it holds exactly ``text``.  On ext4
+    (``auto_da_alloc``) closing a file that was truncated to zero starts
+    its writeback, which made rewriting a small file several times dearer
+    than writing it in place.  A pipe or a device reports size 0, so it is
+    never truncated.  The text is encoded as text-mode ``open`` encodes it.
+    """
+    data = text.encode(locale.getpreferredencoding(False))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        longer = os.fstat(fd).st_size > len(data)
+        fh.write(data)
+        if longer:
+            fh.truncate()
+
+
 def save_certificate(cert: ReductionCertificate, outdir: str, name: str = "target") -> str:
+    """Write ``cert`` as a bundle in ``outdir`` and return the manifest path.
+
+    Files already in ``outdir`` are rewritten in place (see ``_write_text``);
+    files this bundle does not name, such as the factors of an earlier,
+    larger bundle, are left as they are.  A write torn by a crash still
+    leaves a bundle that ``load_certificate`` refuses or that verifies,
+    because a certificate is checked when it is built.
+    """
     os.makedirs(outdir, exist_ok=True)
     target_file = f"{name}.rel"
-    with open(os.path.join(outdir, target_file), "w") as fh:
-        fh.write(core.dump_relation(cert.target, name))
+    _write_text(os.path.join(outdir, target_file), core.dump_relation(cert.target, name))
     env_files = {}
     for symbol in sorted(cert.env):
         fname = f"{symbol}.rel"
-        with open(os.path.join(outdir, fname), "w") as fh:
-            fh.write(core.dump_relation(cert.env[symbol], symbol))
+        _write_text(os.path.join(outdir, fname), core.dump_relation(cert.env[symbol], symbol))
         env_files[symbol] = fname
     formula_text = render(cert.formula)
-    with open(os.path.join(outdir, "formula.txt"), "w") as fh:
-        fh.write(formula_text + "\n")
+    _write_text(os.path.join(outdir, "formula.txt"), formula_text + "\n")
     manifest = {
         "target": target_file,
         "formula": formula_text,
@@ -492,9 +517,7 @@ def save_certificate(cert: ReductionCertificate, outdir: str, name: str = "targe
         "varmap": dict(sorted(cert.var_map.items())),
     }
     path = os.path.join(outdir, "certificate.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -49,6 +49,15 @@ def test_eval(runner, workdir):
     assert "a a a a" in res.output
 
 
+def test_eval_and_diagram_write_to_a_device(runner, workdir):
+    # a device cannot be truncated; writing to one must not try
+    res = run(runner, workdir, "eval", "chain.txt", "--env", "I3.rel",
+              "-o", os.devnull)
+    assert res.exit_code == 0 and res.output == ""
+    res = run(runner, workdir, "diagram", "chain.txt", "--dot", os.devnull)
+    assert res.exit_code == 0 and res.output == ""
+
+
 def test_eval_parse_error_exit_2(runner, workdir):
     (workdir / "bad.txt").write_text("P(\n")
     res = run(runner, workdir, "eval", "bad.txt", "--env", "I3.rel")
@@ -95,6 +104,15 @@ def test_neg_join_pipeline(runner, workdir):
               "-k", "1", "-o", "nc")
     assert res.exit_code == 0
     assert run(runner, workdir, "verify", "nc").exit_code == 0
+
+
+def test_reduce_twice_into_one_bundle_directory(runner, workdir):
+    assert run(runner, workdir, "reduce", "I3.rel", "--hypostatic", "1",
+               "-o", "ow").exit_code == 0
+    assert run(runner, workdir, "reduce", "I3.rel", "--key", "1",
+               "-o", "ow").exit_code == 0
+    res = run(runner, workdir, "verify", "ow")
+    assert res.exit_code == 0 and "factors=[2, 2]" in res.output
 
 
 def test_tampered_certificate_exit_5(runner, workdir):

@@ -1,6 +1,9 @@
+import json
+import os
+
 import pytest
 
-from relred.core import Domain, Relation, standard
+from relred.core import Domain, Relation, dump_relation, standard
 from relred.errors import ParseError, PreconditionError, VerificationError
 from relred.formula import (
     Atom,
@@ -19,6 +22,7 @@ from relred.formula import (
     render,
     save_certificate,
 )
+from relred.reducers import hypostatic_abstraction, key_reduction
 
 from conftest import make_rel
 
@@ -198,3 +202,24 @@ def test_certificate_bundle_roundtrip(tmp_path, d2):
     assert back.target.rows == cert.target.rows
     assert render(back.formula) == render(cert.formula)
     assert check_certificate(back).valid
+
+
+def test_save_over_a_larger_bundle_rewrites_in_place(tmp_path, d2):
+    identity = standard("identity", 3, d2)
+    larger = hypostatic_abstraction(identity, 1)
+    smaller = key_reduction(identity, ["1"])
+    assert sorted(larger.env) == ["F1", "F2", "F3"]
+    assert sorted(smaller.env) == ["F1", "F2"]
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    save_certificate(larger, str(reused))
+    path = save_certificate(smaller, str(reused))
+    save_certificate(smaller, str(fresh))
+    manifest = json.loads((reused / "certificate.json").read_text())
+    named = ["certificate.json", "formula.txt", manifest["target"], *manifest["env"].values()]
+    assert sorted(named) == sorted(os.listdir(fresh))
+    for name in named:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+    assert check_certificate(load_certificate(path)).valid
+    # a factor the new manifest does not name is left as it was
+    assert sorted(os.listdir(reused)) == sorted(named + ["F3.rel"])
+    assert (reused / "F3.rel").read_text() == dump_relation(larger.env["F3"], "F3")

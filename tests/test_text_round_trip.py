@@ -6,7 +6,9 @@ Conjunctions are generated with conjunctions among their parts, which
 Names are drawn from pools that include dots, digits and non-ASCII
 letters; the constructors refuse every name the relation format cannot
 carry (whitespace, any of ``#(),|``, and the bare ``.`` that marks the
-empty scheme and the empty row), so no generated relation needs avoiding.
+empty scheme and the empty row), so no generated relation needs avoiding;
+``dump_relation`` refuses such a relation name, and one with a path
+separator, since it can become a bundle file's stem.
 Examples are derandomized so that the suite stays deterministic.
 """
 
@@ -19,7 +21,16 @@ from hypothesis import strategies as st
 from relred import core
 from relred.core import Domain, Relation
 from relred.errors import PreconditionError
-from relred.formula import Atom, Conj, Exists, free_vars, parse, render
+from relred.formula import (
+    Atom,
+    Conj,
+    Exists,
+    ReductionCertificate,
+    free_vars,
+    parse,
+    render,
+    save_certificate,
+)
 
 PROPS = settings(
     derandomize=True,
@@ -115,3 +126,18 @@ def test_names_the_format_cannot_carry_are_refused(name):
         core.standard("identity", ["1", name], d)
     with pytest.raises(PreconditionError, match="bad attribute name"):
         core.rename(core.standard("universal", 1, d), {"1": name})
+    with pytest.raises(PreconditionError, match="bad relation name"):
+        core.dump_relation(core.standard("universal", 1, d), name)
+
+
+@pytest.mark.parametrize("name", ("R x", "a/b"))
+def test_bad_relation_name_is_refused_before_any_file_is_written(tmp_path, name):
+    d = Domain("D", ("a", "b"))
+    identity = core.standard("identity", 2, d)
+    with pytest.raises(PreconditionError, match="bad relation name"):
+        core.dump_relation(identity, name)
+    cert = ReductionCertificate(identity, parse("P(x,y)"), {"P": identity},
+                                {"x": "1", "y": "2"})
+    with pytest.raises(PreconditionError, match="bad relation name"):
+        save_certificate(cert, str(tmp_path), name)
+    assert list(tmp_path.iterdir()) == []
