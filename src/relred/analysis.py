@@ -4,6 +4,10 @@ Everything here is exact: degeneracy and join reducibility are decided by
 the cardinality/projection tests that characterize them, and censuses by
 full enumeration (with an explicit sampled fallback above the cap).
 
+Degeneracy, the finest factorization and the universality hypotheses read
+one ``core.projection_sizes`` table: R is a product over a bipartition (A, B)
+iff |pi_A| * |pi_B| = |R|, and pi_X is universal iff it has d^|X| rows.
+
 The census tests each relation as one bitmask over the d^n cells of D^n:
 projections and cylinders are a few whole-mask shifts per coordinate, R is
 join reducible iff the AND of the cylinders of its (n-1)-projections is R,
@@ -58,28 +62,44 @@ def _bipartitions(attrs: Sequence[str]):
             yield left, right
 
 
+def _split(size, attrs: tuple[str, ...]) -> Optional[tuple[tuple[str, ...], ...]]:
+    """The first bipartition of ``attrs``, in ``_bipartitions`` order, whose
+    two sides' sizes multiply to the size of ``attrs``, or None."""
+    for left, right in _bipartitions(attrs):
+        if size(left) * size(right) == size(attrs):
+            return left, right
+    return None
+
+
 def is_degenerate(rel: Relation) -> Optional[tuple[tuple[str, ...], tuple[str, ...]]]:
     """A witnessing nontrivial bipartition over which the relation is a
     Cartesian product, or None.  Bipartitions suffice: any finer
     factorization refines some bipartition."""
-    if rel.arity < 2:
-        return None
-    for left, right in _bipartitions(rel.attrs):
-        if len(core.project(rel, left)) * len(core.project(rel, right)) == len(rel):
-            return (left, right)
-    return None
+    return _split(core.projection_sizes(rel), rel.attrs)
 
 
 def finest_factorization(rel: Relation) -> tuple[tuple[str, ...], ...]:
     """The finest Cartesian factorization, as a tuple of scheme blocks
-    (a single block when the relation is non-degenerate)."""
-    witness = is_degenerate(rel)
-    if witness is None:
-        return (rel.attrs,)
-    left, right = witness
-    return finest_factorization(core.project(rel, left)) + finest_factorization(
-        core.project(rel, right)
-    )
+    (a single block when the relation is non-degenerate).  Each block is
+    split on the same size table: its projections are the relation's."""
+    size = core.projection_sizes(rel)
+
+    def finest(attrs: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+        split = _split(size, attrs)
+        return (attrs,) if split is None else finest(split[0]) + finest(split[1])
+
+    return finest(rel.attrs)
+
+
+def _nonuniversal(rel: Relation) -> Optional[tuple[str, ...]]:
+    """The first proper nonempty attribute set, smaller sets first, whose
+    projection is not all of D^|X|, or None."""
+    size = core.projection_sizes(rel)
+    for k in range(1, rel.arity):
+        for attrs in itertools.combinations(rel.attrs, k):
+            if size(attrs) != rel.domain.size ** k:
+                return attrs
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +149,8 @@ class IrreducibilityReport:
 
 def irreducibility_tests(rel: Relation) -> IrreducibilityReport:
     d = rel.domain
-    universal = core.standard("universal", rel.attrs, d)
-    cond_i = False
-    if not core.equal_relations(rel, universal) and rel.arity >= 2:
-        cond_i = all(
-            len(core.project(rel, c)) == d.size ** len(c)
-            for size in range(1, rel.arity)
-            for c in itertools.combinations(rel.attrs, size)
-        )
+    cond_i = (rel.arity >= 2 and len(rel) != d.size ** rel.arity
+              and _nonuniversal(rel) is None)
     neg = core.complement(rel)
     cond_ii = len(neg) > 0 and all(
         len(core.project(neg, (i,))) < d.size for i in rel.attrs
@@ -296,15 +310,14 @@ def one_param_ternary_projoin(
     if rel.arity != 3:
         raise PreconditionError("one-parameter box decision is for ternaries")
     d = rel.domain
-    for size in (1, 2):
-        for combo in itertools.combinations(rel.attrs, size):
-            if len(core.project(rel, combo)) != d.size ** size:
-                raise ReductionRefused(
-                    "hypothesis",
-                    f"projection onto {list(combo)} is not universal; "
-                    "the condensed one-parameter form need not capture all reductions",
-                    projection=list(combo),
-                )
+    combo = _nonuniversal(rel)
+    if combo is not None:
+        raise ReductionRefused(
+            "hypothesis",
+            f"projection onto {list(combo)} is not universal; "
+            "the condensed one-parameter form need not capture all reductions",
+            projection=list(combo),
+        )
     if (2 ** d.size - 1) ** 3 > 2 * 10 ** 6:
         raise CapExceededError("box enumeration too large for this domain size")
     elems = sorted(d.elements)
@@ -594,8 +607,7 @@ def ternary_oracle_suite(rel: Relation, caps: Caps = DEFAULT_CAPS) -> list[dict]
         )
         return evidence
     evidence.append({"test": "identity", "verdict": False})
-    universal = core.standard("universal", rel.attrs, rel.domain)
-    if core.equal_relations(rel, universal):
+    if len(rel) == rel.domain.size ** 3:
         evidence.append({"test": "universal", "verdict": True,
                          "note": "reducible but of no reductive interest"})
     try:

@@ -1,14 +1,15 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 2 parse error, 3 precondition violated (including
-reducer refusals), 4 enumeration cap exceeded, 5 verification failure.
+Exit codes: 0 success, 2 parse error (including an input file that cannot
+be read or decoded), 3 precondition violated (including reducer refusals
+and an output path that cannot be written), 4 enumeration cap exceeded
+(including a domain over ``max_domain``), 5 verification failure.
 All outputs are deterministic; ``--threads`` is accepted for interface
 stability but evaluation is serial (results are independent of it).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
@@ -39,11 +40,13 @@ def _echo(message: str, err: bool = False, nl: bool = True) -> None:
     click.echo(message, file=stream, nl=nl)
 
 
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Main(click.Group):
+    """The command group: a relred error, or an ``OSError`` on an output
+    path, ends the run with one line on stderr and its exit code."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except ParseError as e:
             _echo(f"parse error: {e}", err=True)
             sys.exit(EXIT_PARSE)
@@ -56,16 +59,17 @@ def _handle_errors(fn):
         except VerificationError as e:
             _echo(f"verification failed: {e}", err=True)
             sys.exit(EXIT_VERIFY)
-        except (PreconditionError, RelredError) as e:
+        except (RelredError, OSError) as e:
             _echo(f"error: {e}", err=True)
             sys.exit(EXIT_PRECONDITION)
 
-    return wrapper
-
 
 def _load_rel(path: str):
-    with open(path) as fh:
-        return core.load_relation(fh.read())
+    return core.load_relation(formula._read_text(path, f"relation file {path!r}"))
+
+
+def _load_formula(path: str):
+    return formula.parse(formula._read_text(path, f"formula file {path!r}"))
 
 
 def _load_cert(path: str):
@@ -89,13 +93,12 @@ def _emit(ctx, payload_json: str, payload_text: str):
         _echo(payload_text)
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.option("--format", "fmt", type=click.Choice(["json", "text", "csv"]),
               default="text", help="output format")
 @click.option("--threads", type=int, default=1,
               help="accepted for compatibility; execution is serial")
 @click.pass_context
-@_handle_errors
 def main(ctx, fmt, threads):
     """Attributed-relation algebra, reductions, and diagrams."""
     ctx.ensure_object(dict)
@@ -112,11 +115,9 @@ def main(ctx, fmt, threads):
               "(checked against the formula)")
 @click.option("-o", "--out", type=click.Path(), default=None)
 @click.pass_context
-@_handle_errors
 def eval_cmd(ctx, formula_file, env_files, free, out):
     """Evaluate a formula file against an environment of relations."""
-    with open(formula_file) as fh:
-        f = formula.parse(fh.read())
+    f = _load_formula(formula_file)
     env = dict(_load_rel(path) for path in env_files)
     free_order = _parse_attr_list(free) if free else None
     value = formula.evaluate(f, env, free_order)
@@ -134,7 +135,6 @@ def eval_cmd(ctx, formula_file, env_files, free, out):
 @click.option("--mvd", default=None, help="M:B1|B2|... multivalued dependency")
 @click.option("--admits", type=int, default=None, help="k-key admission test")
 @click.pass_context
-@_handle_errors
 def deps_cmd(ctx, rel_file, fd, keys_k, mvd, admits):
     """Dependency reports for a relation."""
     _, rel = _load_rel(rel_file)
@@ -179,7 +179,6 @@ def deps_cmd(ctx, rel_file, fd, keys_k, mvd, admits):
 @click.option("-o", "--out", type=click.Path(), default="certificate",
               help="output bundle directory")
 @click.pass_context
-@_handle_errors
 def reduce_cmd(ctx, rel_file, key, fagin, hypostatic, neg_join, k_param,
                chain_n, out):
     """Produce a verified reduction certificate bundle."""
@@ -210,7 +209,6 @@ def reduce_cmd(ctx, rel_file, key, fagin, hypostatic, neg_join, k_param,
 @click.argument("cert_file", type=click.Path(exists=True))
 @click.option("-o", "--out", type=click.Path(), default="explicated")
 @click.pass_context
-@_handle_errors
 def explicate_cmd(ctx, cert_file, out):
     """Explicate a projoin certificate into a bond certificate."""
     cert = _load_cert(cert_file)
@@ -222,7 +220,6 @@ def explicate_cmd(ctx, cert_file, out):
 @click.argument("cert_file", type=click.Path(exists=True))
 @click.option("-o", "--out", type=click.Path(), default="merged")
 @click.pass_context
-@_handle_errors
 def merge_cmd(ctx, cert_file, out):
     """Merge-complete a subternaric bond certificate."""
     cert = _load_cert(cert_file)
@@ -237,14 +234,12 @@ def merge_cmd(ctx, cert_file, out):
 @click.option("--stats/--no-stats", default=False,
               help="also print bond graph statistics")
 @click.pass_context
-@_handle_errors
 def diagram_cmd(ctx, source, dot_out, stats):
     """Bonding diagram of a formula file or certificate bundle."""
     if source.endswith(".json") or os.path.isdir(source):
         f = _load_cert(source).formula
     else:
-        with open(source) as fh:
-            f = formula.parse(fh.read())
+        f = _load_formula(source)
     graph = diagrams.build_projoin_graph(formula.normalize(f))
     dg = diagrams.to_bonding_diagram(graph)
     text = diagrams.emit_dot(dg)
@@ -262,7 +257,6 @@ def diagram_cmd(ctx, source, dot_out, stats):
 @click.argument("rel_file", type=click.Path(exists=True))
 @click.option("--certs", multiple=True, type=click.Path(exists=True))
 @click.pass_context
-@_handle_errors
 def ternarity_cmd(ctx, rel_file, certs):
     """Ternarity interval for a relation."""
     _, rel = _load_rel(rel_file)
@@ -284,7 +278,6 @@ def ternarity_cmd(ctx, rel_file, certs):
 @click.option("-o", "--out", type=click.Path(), default=None,
               help="bundle directory for produced certificates")
 @click.pass_context
-@_handle_errors
 def analyze_cmd(ctx, rel_file, which, relprod2, out):
     """Exact deciders: degeneracy, join reducibility, relative products."""
     _, rel = _load_rel(rel_file)
@@ -334,7 +327,6 @@ def analyze_cmd(ctx, rel_file, which, relprod2, out):
               help="sampled census with this many draws")
 @click.option("--seed", type=int, default=0)
 @click.pass_context
-@_handle_errors
 def census_cmd(ctx, d, n, sample, seed):
     """Count degenerate and join-reducible relations on D^n."""
     if sample is not None:
@@ -351,7 +343,6 @@ def census_cmd(ctx, d, n, sample, seed):
 @main.command("verify")
 @click.argument("cert_file", type=click.Path(exists=True))
 @click.pass_context
-@_handle_errors
 def verify_cmd(ctx, cert_file):
     """Re-check a certificate bundle; exit 5 when it does not verify."""
     try:

@@ -16,10 +16,14 @@ membership.  The operators (``project``, ``select``, ``rename``,
 their validated inputs and build results with ``_relation``, unchecked;
 ``projoin`` is the one join loop, and a derived scheme is filtered out of
 a canonical one, not re-sorted.
+
+``projection_sizes`` is the one table of projection cardinalities, read by
+the product, key and universality tests of ``analysis`` and ``dependencies``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import re
@@ -82,7 +86,7 @@ class Domain:
         _check_names((self.name,), "domain name")
         _check_names(self.elements, "element symbol")
         if len(self.elements) > DEFAULT_CAPS.max_domain:
-            raise PreconditionError(
+            raise CapExceededError(
                 f"domain size {len(self.elements)} exceeds cap {DEFAULT_CAPS.max_domain}"
             )
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -263,6 +267,17 @@ def project(rel: Relation, keep: Iterable[str]) -> Relation:
     attrs = tuple(a for a in rel.attrs if a in want)
     pick = _picker([rel.attrs.index(a) for a in attrs])
     return _relation(rel.domain, attrs, frozenset(map(pick, rel.rows)))
+
+
+def projection_sizes(rel: Relation):
+    """The row count of each projection of ``rel``, as a function of an attribute
+    tuple in canonical order, each counted once, and without building a relation."""
+
+    @functools.cache
+    def size(attrs: tuple[str, ...]) -> int:
+        return len(set(map(_picker([rel.attrs.index(a) for a in attrs]), rel.rows)))
+
+    return size
 
 
 def select(rel: Relation, on: Iterable[str], values: Mapping[str, str] | Sequence[str]) -> Relation:

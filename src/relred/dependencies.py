@@ -1,9 +1,12 @@
-"""Functional and multivalued dependencies, keys, and key admission."""
+"""Functional and multivalued dependencies, keys, and key admission.
+
+``find_keys`` and ``is_cartesian_over`` read ``core.projection_sizes``."""
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -105,18 +108,10 @@ def find_keys(rel: Relation, k: int) -> list[tuple[str, ...]]:
     enumerated in colex order over the canonical attribute order."""
     if not 0 <= k <= rel.arity:
         raise AttributeSchemeError(f"key size {k} out of range for arity {rel.arity}")
-    out = []
-    for combo in _colex_combinations(rel.attrs, k):
-        if is_key(rel, combo).holds:
-            out.append(combo)
-    return out
-
-
-def _colex_combinations(attrs: Sequence[str], k: int):
-    combos = sorted(itertools.combinations(range(len(attrs)), k),
-                    key=lambda c: c[::-1])
-    for combo in combos:
-        yield tuple(attrs[i] for i in combo)
+    size = core.projection_sizes(rel)
+    colex = sorted(itertools.combinations(range(rel.arity), k), key=lambda c: c[::-1])
+    combos = (tuple(rel.attrs[i] for i in c) for c in colex)
+    return [combo for combo in combos if size(combo) == len(rel)]
 
 
 def admits_key(rel: Relation, k: int) -> bool:
@@ -134,13 +129,9 @@ def is_cartesian_over(rel: Relation, blocks: Sequence[Iterable[str]]) -> bool:
     be chosen independently.
     """
     canon = validate_partition(rel.scheme, blocks)
-    expected = len(rel)
-    prod = 1
-    for b in canon:
-        prod *= len(core.project(rel, b))
     # R is always contained in the product of its projections, so equality
     # of cardinalities decides equality of relations.
-    return prod == expected
+    return math.prod(map(core.projection_sizes(rel), canon)) == len(rel)
 
 
 def mvd_holds(rel: Relation, m: Iterable[str], blocks: Sequence[Iterable[str]]) -> DependencyReport:

@@ -204,11 +204,6 @@ def bond_graph_stats(diagram: BondingDiagram) -> BondGraph:
 # ---------------------------------------------------------------------------
 
 
-def _chain(vs: Sequence[str], names: FreshNames, base: str) -> list[Atom]:
-    """The teridentity caterpillar over ``vs``, with fresh internals."""
-    return _caterpillar(vs, [names.fresh(base) for _ in range(len(vs) - 3)])
-
-
 def _fresh_symbol(base: str, used: set[str]) -> str:
     name = base
     i = 1
@@ -245,11 +240,9 @@ def explicate(f: Formula, env: dict[str, Relation]) -> tuple[Formula, dict[str, 
     bound = set(params)
     out_env = dict(env)
     used_symbols = set(out_env)
-    slot_count: dict[str, int] = {}
     atom_of: dict[str, set[int]] = {}
     for i, atom in enumerate(atoms):
         for v in atom.args:
-            slot_count[v] = slot_count.get(v, 0) + 1
             atom_of.setdefault(v, set()).add(i)
 
     # pass 1: absorb confined bound variables (dead ends and within-atom
@@ -284,7 +277,7 @@ def explicate(f: Formula, env: dict[str, Relation]) -> tuple[Formula, dict[str, 
         new_atoms.append(Atom(symbol, tuple(atom.args[p] for p in keep_pos)))
 
     # pass 2: split multi-slot variables and chain them with teridentities
-    names = FreshNames(set(slot_count) | bound | set(free_vars(f)))
+    names = FreshNames(set(atom_of) | bound | set(free_vars(f)))
     domain = next(iter(out_env.values())).domain
     chain_atoms: list[Atom] = []
     final_params = []
@@ -293,36 +286,26 @@ def explicate(f: Formula, env: dict[str, Relation]) -> tuple[Formula, dict[str, 
     for i, args in enumerate(rewritten):
         for p, v in enumerate(args):
             slots_of.setdefault(v, []).append((i, p))
-    order = sorted(slots_of, key=var_key)
-    for v in order:
+    for v in sorted(slots_of, key=var_key):
         slots = slots_of[v]
         if v in bound:
             if len(slots) <= 2 and len({i for i, _ in slots}) == len(slots):
                 final_params.append(v)
                 continue
-            copies = [names.fresh(v) for _ in slots]
-            for (i, p), c in zip(slots, copies):
-                rewritten[i][p] = c
-            chain_atoms += _chain(copies, names, v)
-            final_params += copies
+            chain = []
+        elif len(slots) == 1:
+            continue
         else:
-            if len(slots) == 1:
-                continue
-            copies = [names.fresh(v) for _ in slots]
-            for (i, p), c in zip(slots, copies):
-                rewritten[i][p] = c
-            chain_atoms += _chain([v] + copies, names, v)
-            final_params += copies
+            chain = [v]  # a free variable is tied to its copies
+        copies = [names.fresh(v) for _ in slots]
+        for (i, p), c in zip(slots, copies):
+            rewritten[i][p] = c
+        chain += copies
+        inner = [names.fresh(v) for _ in range(len(chain) - 3)]
+        chain_atoms += _caterpillar(chain, inner)
+        final_params += copies + inner
     if chain_atoms:
         _identity_symbol(3, out_env, domain)
-    # chain internals created inside _chain are not yet in final_params
-    internal = {
-        v
-        for atom in chain_atoms
-        for v in atom.args
-        if v not in set(final_params) and v not in free_vars(f)
-    }
-    final_params += sorted(internal, key=var_key)
     body_atoms = [Atom(a.symbol, tuple(args)) for a, args in zip(new_atoms, rewritten)]
     body_atoms += chain_atoms
     return prenex(final_params, body_atoms), out_env

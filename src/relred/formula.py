@@ -472,6 +472,16 @@ def check_certificate(cert: ReductionCertificate) -> CertificateVerdict:
 # ---------------------------------------------------------------------------
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of ``path``; a missing, unreadable or undecodable file is a
+    ``ParseError`` naming ``what``."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, ValueError) as e:
+        raise ParseError(f"cannot read {what}: {e}") from None
+
+
 def _write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path``, rewriting an existing file in place.
 
@@ -560,11 +570,11 @@ def load_certificate(path: str) -> ReductionCertificate:
     or unreadable file, and a relation path that is absolute or leads out
     of the bundle directory are all ``ParseError``s.
     """
+    what = f"certificate manifest {path!r}"
     try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError) as e:
-        raise ParseError(f"cannot read certificate manifest {path!r}: {e}") from None
+        manifest = json.loads(_read_text(path, what))
+    except ValueError as e:
+        raise ParseError(f"cannot read {what}: {e}") from None
     if not isinstance(manifest, dict):
         raise ParseError("certificate manifest is not a JSON object")
     for key, kind, json_kind in _MANIFEST_KEYS:
@@ -576,11 +586,7 @@ def load_certificate(path: str) -> ReductionCertificate:
     base = os.path.dirname(os.path.abspath(path))
 
     def load_rel(fname: str) -> Relation:
-        try:
-            with open(_bundle_file(base, fname)) as fh:
-                text = fh.read()
-        except (OSError, ValueError) as e:
-            raise ParseError(f"cannot read bundle file {fname!r}: {e}") from None
+        text = _read_text(_bundle_file(base, fname), f"bundle file {fname!r}")
         return core.load_relation(text)[1]
 
     target = load_rel(manifest["target"])

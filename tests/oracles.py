@@ -17,6 +17,73 @@ def cylinder(rows, idxs, cells):
     return {t for t in cells if tuple(t[i] for i in idxs) in p}
 
 
+def bipartitions(n):
+    """Nontrivial bipartitions (left, right) of positions 0..n-1, one per
+    complementary pair: smaller left block first, in ``combinations``
+    order, and of two equal halves the one holding position 0."""
+    for size in range(1, n // 2 + 1):
+        for left in itertools.combinations(range(n), size):
+            if size == n - size and 0 not in left:
+                continue
+            yield left, tuple(i for i in range(n) if i not in left)
+
+
+def product_of_projections(rows, blocks, n):
+    """The rows of the product of the projections onto ``blocks``, a
+    partition of positions 0..n-1."""
+    out = set()
+    for parts in itertools.product(*(proj(rows, b) for b in blocks)):
+        row = [None] * n
+        for block, values in zip(blocks, parts):
+            for i, v in zip(block, values):
+                row[i] = v
+        out.add(tuple(row))
+    return out
+
+
+def degeneracy_witness(rows, n):
+    """The first bipartition over which the rows are the product of
+    their two projections, or None."""
+    for left, right in bipartitions(n):
+        if product_of_projections(rows, (left, right), n) == set(rows):
+            return left, right
+    return None
+
+
+def finest_blocks(rows, positions):
+    """The finest factorization of ``rows`` (tuples aligned with
+    ``positions``): split at the first product bipartition, then split
+    each side's projected rows the same way."""
+    witness = degeneracy_witness(rows, len(positions))
+    if witness is None:
+        return [tuple(positions)]
+    return [
+        block
+        for side in witness
+        for block in finest_blocks(proj(rows, side), [positions[i] for i in side])
+    ]
+
+
+def keys(rows, n, k):
+    """The k-sets of positions on which no two rows agree, in colex order."""
+    combos = sorted(itertools.combinations(range(n), k), key=lambda c: c[::-1])
+    return [
+        c for c in combos
+        if all(tuple(a[i] for i in c) != tuple(b[i] for i in c)
+               for a, b in itertools.combinations(rows, 2))
+    ]
+
+
+def first_nonuniversal(rows, n, d):
+    """The first proper nonempty set of positions, smaller sets first,
+    whose projection misses some value tuple, or None."""
+    for size in range(1, n):
+        for c in itertools.combinations(range(n), size):
+            if len(proj(rows, c)) != d ** size:
+                return c
+    return None
+
+
 def join_cover_reducible(rows, elems, n):
     """Search every family of proper projections whose join gives back R.
 
@@ -159,13 +226,10 @@ class PerCellCensus:
     def __init__(self, d, n):
         self.n = n
         self.cells = list(itertools.product(range(d), repeat=n))
-        self.bipartitions = []
-        for size in range(1, n // 2 + 1):
-            for combo in itertools.combinations(range(n), size):
-                if size == n - size and 0 not in combo:
-                    continue
-                rest = tuple(i for i in range(n) if i not in combo)
-                self.bipartitions.append((self._proj_map(combo), self._proj_map(rest)))
+        self.bipartitions = [
+            (self._proj_map(left), self._proj_map(right))
+            for left, right in bipartitions(n)
+        ]
         self.join_maps = [
             self._proj_map(tuple(j for j in range(n) if j != i)) for i in range(n)
         ]

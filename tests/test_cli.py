@@ -143,6 +143,32 @@ def test_names_the_format_cannot_carry_exit_3(runner, workdir, text, message):
     assert message in res.output
 
 
+@pytest.mark.parametrize("args, code, prefix", [
+    (["reduce", "I4.rel", "--key", "1", "-o", "taken"], 3, "error:"),
+    (["eval", "chain.txt", "--env", "adir"], 2, "parse error: cannot read"),
+    (["eval", "chain.txt", "--env", "I3.rel", "-o", "adir"], 3, "error:"),
+    (["diagram", "chain.txt", "--dot", "adir"], 3, "error:"),
+    (["analyze", "latin1.rel", "--degenerate"], 2, "parse error: cannot read"),
+    (["eval", "latin1.rel", "--env", "I3.rel"], 2, "parse error: cannot read"),
+], ids=["reduce_out_is_a_file", "eval_env_is_a_dir", "eval_out_is_a_dir",
+        "diagram_dot_is_a_dir", "analyze_not_utf8", "eval_formula_not_utf8"])
+def test_unusable_path_one_line(runner, workdir, args, code, prefix):
+    (workdir / "taken").write_text("x\n")
+    (workdir / "adir").mkdir()
+    (workdir / "latin1.rel").write_bytes(b"@relation R over D(a,\xe9)\n1\na\n")
+    res = run(runner, workdir, *args)
+    assert res.exit_code == code
+    assert res.output.startswith(prefix) and res.output.count("\n") == 1
+    assert (workdir / "taken").read_text() == "x\n"
+
+
+def test_domain_over_cap_exit_4(runner, workdir):
+    (workdir / "big.rel").write_text("@relation R over D(a,b,c,d,e,f,g,h,i)\n1\na\n")
+    res = run(runner, workdir, "analyze", "big.rel", "--degenerate")
+    assert res.exit_code == 4
+    assert res.output == "cap exceeded: domain size 9 exceeds cap 8\n"
+
+
 def test_cap_exit_4(runner, workdir):
     res = run(runner, workdir, "census", "--d", "3", "--n", "3")
     assert res.exit_code == 4
@@ -178,6 +204,16 @@ def test_ternarity_json(runner, workdir):
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data["lower"] == data["upper"] == 1
+
+
+def test_ternarity_json_prints_blocks_in_split_order(runner, workdir):
+    # the finest factorization lists the blocks as the bipartitions split
+    # them, not in canonical order
+    rows = "".join(f"{x} {y} {x} a\n" for x in "ab" for y in "ab")
+    (workdir / "Q.rel").write_text("@relation Q over D2(a,b)\n1 2 3 4\n" + rows)
+    res = run(runner, workdir, "--format", "json", "ternarity", "Q.rel")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["evidence"][0]["blocks"] == [["2"], ["4"], ["1", "3"]]
 
 
 def test_analyze_flags(runner, workdir):
