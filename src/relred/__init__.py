@@ -1,7 +1,7 @@
 """relred: an algebra of attributed relations on finite domains, with
 constructive reductions, bond explication, and ternarity accounting."""
 
-from .caps import Caps, DEFAULT_CAPS
+from .caps import Caps, using
 from .core import (
     Domain,
     Relation,

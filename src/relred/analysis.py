@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import core
-from .caps import Caps, DEFAULT_CAPS
+from .caps import current
 from .core import Relation
 from .errors import (
     AttributeSchemeError,
@@ -238,9 +238,7 @@ def _cover(cells: int, pieces: Sequence[int], budget: int) -> Optional[list[int]
     return None
 
 
-def boolean_rank_at_most(
-    m: BooleanMatrix, k: int, caps: Caps = DEFAULT_CAPS
-) -> Optional[list[tuple[int, int]]]:
+def boolean_rank_at_most(m: BooleanMatrix, k: int) -> Optional[list[tuple[int, int]]]:
     """Exact test: is the matrix an OR of at most k all-ones rectangles?
     Returns a witnessing cover (row_mask, col_mask list) when it is.
     Restricting the search to maximal rectangles loses no covers, and
@@ -248,6 +246,7 @@ def boolean_rank_at_most(
     Cell (i, j) is bit i*ncols + j."""
     if k < 0:
         raise PreconditionError("rank bound must be >= 0")
+    caps = current()
     if m.nrows * m.ncols > caps.rank_max_cells:
         raise CapExceededError(
             f"matrix has {m.nrows * m.ncols} cells > cap {caps.rank_max_cells}"
@@ -265,7 +264,7 @@ def boolean_rank_at_most(
 
 
 def rel_prod_reducible2(
-    rel: Relation, left: Iterable[str], caps: Caps = DEFAULT_CAPS
+    rel: Relation, left: Iterable[str]
 ) -> Optional[ReductionCertificate]:
     """Is R a relative product of two lower-arity relations over the given
     bipartition, i.e. R(x) = exists t [A(x_left, t) & B(t, x_right)]?
@@ -273,7 +272,7 @@ def rel_prod_reducible2(
     Decided exactly by Boolean rank <= d of the bipartition matrix: the
     parameter t sorts the tuples into at most d all-ones rectangles."""
     m = bipartition_matrix(rel, left)
-    cover = boolean_rank_at_most(m, rel.domain.size, caps)
+    cover = boolean_rank_at_most(m, rel.domain.size)
     if cover is None:
         return None
     left_c = core.canonical_attrs(left)
@@ -293,9 +292,7 @@ def rel_prod_reducible2(
 # ---------------------------------------------------------------------------
 
 
-def one_param_ternary_projoin(
-    rel: Relation, caps: Caps = DEFAULT_CAPS
-) -> Optional[ReductionCertificate]:
+def one_param_ternary_projoin(rel: Relation) -> Optional[ReductionCertificate]:
     """Exact one-parameter projoin decision for ternaries whose proper
     projections are all universal.
 
@@ -526,11 +523,12 @@ def _check_census_range(d: int, n: int) -> None:
         raise PreconditionError(f"census needs d >= 1 and n >= 1, got d={d}, n={n}")
 
 
-def census(d: int, n: int, caps: Caps = DEFAULT_CAPS) -> CensusRow:
+def census(d: int, n: int) -> CensusRow:
     """Exact census of all 2^(d^n) n-ary relations on a d-element domain:
     how many are degenerate, how many join reducible, against the crude
     counting bounds."""
     _check_census_range(d, n)
+    caps = current()
     if d ** n > caps.max_census_cells:
         raise CapExceededError(
             f"d^n = {d ** n} exceeds census cap {caps.max_census_cells}; "
@@ -549,15 +547,14 @@ def census(d: int, n: int, caps: Caps = DEFAULT_CAPS) -> CensusRow:
     return CensusRow(d, n, 2 ** space.ncells, deg, jred, bound_ndeg, bound_njred)
 
 
-def census_sampled(
-    d: int, n: int, samples: int, seed: int = 0, caps: Caps = DEFAULT_CAPS
-) -> CensusRow:
+def census_sampled(d: int, n: int, samples: int, seed: int = 0) -> CensusRow:
     """Sampled census: counts over `samples` uniformly drawn relation
     bitmasks.  Counts are per-sample, not extrapolated.  Each mask has d^n
     bits, so d and n are held to the domain and arity caps first."""
     _check_census_range(d, n)
     if samples < 0:
         raise PreconditionError(f"sampled census needs samples >= 0, got {samples}")
+    caps = current()
     if d > caps.max_domain or n > caps.max_arity:
         raise CapExceededError(
             f"sampled census over d={d}, n={n} exceeds caps "
@@ -582,7 +579,7 @@ def census_sampled(
 # ---------------------------------------------------------------------------
 
 
-def ternary_oracle_suite(rel: Relation, caps: Caps = DEFAULT_CAPS) -> list[dict]:
+def ternary_oracle_suite(rel: Relation) -> list[dict]:
     """Evidence bundle for a ternary: degeneracy, identity comparison, and
     the one-parameter box oracle with its ternarity consequences."""
     if rel.arity != 3:
@@ -611,7 +608,7 @@ def ternary_oracle_suite(rel: Relation, caps: Caps = DEFAULT_CAPS) -> list[dict]
         evidence.append({"test": "universal", "verdict": True,
                          "note": "reducible but of no reductive interest"})
     try:
-        cert = one_param_ternary_projoin(rel, caps)
+        cert = one_param_ternary_projoin(rel)
     except ReductionRefused as e:
         evidence.append(
             {"test": "oneParamTernaryProjoin", "verdict": "inapplicable",

@@ -1,17 +1,26 @@
 """Enumeration caps.
 
 Everything in this library works by explicit enumeration of D^Sigma, so
-domain size and arity are capped to keep that enumerable.  Defaults can be
-overridden with the RELRED_CAPS environment variable, a comma-separated
-list of ``name=value`` pairs, e.g. ``RELRED_CAPS=max_arity=10,max_domain=6``.
-``from_env`` raises ``ParseError`` on a malformed value; the import-time
-``DEFAULT_CAPS`` then keeps the defaults.
+domain size and arity are capped to keep that enumerable.  The active caps
+live in one context variable: ``current()`` reads them, and ``with
+using(caps):`` sets them for a block and restores the previous value when
+the block ends, also when it raises.  Library calls run under ``Caps()``
+unless a caller sets others with ``using``.
+
+The CLI reads the RELRED_CAPS environment variable once per run, with
+``from_env``, and runs the command under it.  The variable is a
+comma-separated list of ``name=value`` pairs, e.g.
+``RELRED_CAPS=max_arity=10,max_domain=6``; ``from_env`` raises
+``ParseError`` on a malformed value.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .errors import ParseError
 
@@ -23,6 +32,24 @@ class Caps:
     max_census_cells: int = 16   # census enumerates all 2^(d^n) relations when d^n <= this
     rank_max_cells: int = 65536  # Boolean-rank search refuses larger matrices
     rank_max_ones: int = 24      # ... or denser ones
+
+
+_ACTIVE: ContextVar[Caps] = ContextVar("relred_caps", default=Caps())
+
+
+def current() -> Caps:
+    """The caps every check reads: ``Caps()`` outside any ``using`` block."""
+    return _ACTIVE.get()
+
+
+@contextmanager
+def using(active: Caps) -> Iterator[None]:
+    """Run the block under the ``active`` caps."""
+    token = _ACTIVE.set(active)
+    try:
+        yield
+    finally:
+        _ACTIVE.reset(token)
 
 
 def _parse(spec: str) -> Caps:
@@ -48,10 +75,3 @@ def _parse(spec: str) -> Caps:
 
 def from_env() -> Caps:
     return _parse(os.environ.get("RELRED_CAPS", ""))
-
-
-try:
-    DEFAULT_CAPS = from_env()
-except ParseError:
-    # importing never fails; the CLI reads the variable again and reports it
-    DEFAULT_CAPS = Caps()

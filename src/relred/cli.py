@@ -6,6 +6,8 @@ and an output path that cannot be written), 4 enumeration cap exceeded
 (including a domain over ``max_domain``), 5 verification failure.
 All outputs are deterministic; ``--threads`` is accepted for interface
 stability but evaluation is serial (results are independent of it).
+``RELRED_CAPS`` is read once per run, and every cap check of the command
+reads those caps (``caps.using``) until the run ends.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 import click
 
 from . import analysis, core, dependencies, diagrams, formula, reducers
-from .caps import from_env
+from .caps import from_env, using
 from .errors import (
     CapExceededError,
     ParseError,
@@ -103,7 +105,7 @@ def main(ctx, fmt, threads):
     """Attributed-relation algebra, reductions, and diagrams."""
     ctx.ensure_object(dict)
     ctx.obj["format"] = fmt
-    ctx.obj["caps"] = from_env()
+    ctx.with_resource(using(from_env()))
 
 
 @main.command("eval")
@@ -261,7 +263,7 @@ def ternarity_cmd(ctx, rel_file, certs):
     """Ternarity interval for a relation."""
     _, rel = _load_rel(rel_file)
     loaded = [_load_cert(c) for c in certs]
-    report = diagrams.ternarity_bounds(rel, loaded, ctx.obj["caps"])
+    report = diagrams.ternarity_bounds(rel, loaded)
     hi = "inf" if report.upper is None else report.upper
     _emit(ctx, report.to_json(),
           f"ter in [{report.lower}, {hi}] (arity {report.arity})")
@@ -281,9 +283,8 @@ def ternarity_cmd(ctx, rel_file, certs):
 def analyze_cmd(ctx, rel_file, which, relprod2, out):
     """Exact deciders: degeneracy, join reducibility, relative products."""
     _, rel = _load_rel(rel_file)
-    caps = ctx.obj["caps"]
     if relprod2 is not None:
-        cert = analysis.rel_prod_reducible2(rel, _parse_attr_list(relprod2), caps)
+        cert = analysis.rel_prod_reducible2(rel, _parse_attr_list(relprod2))
         if cert is None:
             _emit(ctx, json.dumps({"reducible": False}), "relprod2: no")
         else:
@@ -304,13 +305,13 @@ def analyze_cmd(ctx, rel_file, which, relprod2, out):
         _emit(ctx, json.dumps({"join_reducible": cert is not None}),
               "join reducible: " + ("yes" if cert is not None else "no"))
     elif which == "one-param":
-        cert = analysis.one_param_ternary_projoin(rel, caps)
+        cert = analysis.one_param_ternary_projoin(rel)
         if cert is not None and out:
             formula.save_certificate(cert, out)
         _emit(ctx, json.dumps({"one_param_reducible": cert is not None}),
               "one-parameter projoin: " + ("yes" if cert is not None else "no"))
     elif which == "oracle-suite":
-        evidence = analysis.ternary_oracle_suite(rel, caps)
+        evidence = analysis.ternary_oracle_suite(rel)
         _emit(ctx, json.dumps(evidence),
               "\n".join(json.dumps(e) for e in evidence))
     else:
@@ -330,9 +331,9 @@ def analyze_cmd(ctx, rel_file, which, relprod2, out):
 def census_cmd(ctx, d, n, sample, seed):
     """Count degenerate and join-reducible relations on D^n."""
     if sample is not None:
-        row = analysis.census_sampled(d, n, sample, seed, ctx.obj["caps"])
+        row = analysis.census_sampled(d, n, sample, seed)
     else:
-        row = analysis.census(d, n, ctx.obj["caps"])
+        row = analysis.census(d, n)
     if ctx.obj["format"] == "json":
         _echo(row.to_json())
     else:

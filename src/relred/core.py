@@ -11,14 +11,21 @@ Values are validated where they enter: ``Domain(...)`` checks its name and
 element symbols, and the public ``Relation(...)`` constructor -- hence also
 ``Relation.make`` and ``load_relation``, which go through it -- checks the
 attribute names and order, every row's length and every value's domain
-membership.  The operators (``project``, ``select``, ``rename``,
-``complement``, ``standard``, ``projoin`` and what is built on them) trust
-their validated inputs and build results with ``_relation``, unchecked;
-``projoin`` is the one join loop, and a derived scheme is filtered out of
-a canonical one, not re-sorted.
+membership; ``load_relation`` checks row lengths first, so that a bad row
+is a ``ParseError`` naming its line in the text.  The operators
+(``project``, ``select``, ``rename``, ``complement``, ``standard``,
+``projoin`` and what is built on them) trust their validated inputs and
+build results with ``_relation``, unchecked; ``projoin`` is the one join
+loop, and a derived scheme is filtered out of a canonical one, not
+re-sorted.
 
 ``projection_sizes`` is the one table of projection cardinalities, read by
 the product, key and universality tests of ``analysis`` and ``dependencies``.
+
+The domain-size cap (checked by ``Domain``) and the arity cap on D^Sigma
+enumeration (``complement``, ``standard`` universal and diversity) are read
+from ``caps.current()``: ``Caps()``, or the caps the CLI reads once per run,
+or those of the caller's ``caps.using`` block.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .caps import DEFAULT_CAPS
+from .caps import current
 from .errors import (
     AttributeSchemeError,
     BondabilityError,
@@ -85,9 +92,10 @@ class Domain:
             raise PreconditionError("domain elements must be distinct")
         _check_names((self.name,), "domain name")
         _check_names(self.elements, "element symbol")
-        if len(self.elements) > DEFAULT_CAPS.max_domain:
+        max_domain = current().max_domain
+        if len(self.elements) > max_domain:
             raise CapExceededError(
-                f"domain size {len(self.elements)} exceeds cap {DEFAULT_CAPS.max_domain}"
+                f"domain size {len(self.elements)} exceeds cap {max_domain}"
             )
         object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(self, "_members", frozenset(self.elements))
@@ -301,10 +309,9 @@ def select(rel: Relation, on: Iterable[str], values: Mapping[str, str] | Sequenc
 def _check_enumerable(arity: int) -> None:
     # the cap guards D^Sigma enumeration, not relation construction:
     # join intermediates may be wider than any enumerated scheme
-    if arity > DEFAULT_CAPS.max_arity:
-        raise CapExceededError(
-            f"arity {arity} exceeds enumeration cap {DEFAULT_CAPS.max_arity}"
-        )
+    max_arity = current().max_arity
+    if arity > max_arity:
+        raise CapExceededError(f"arity {arity} exceeds enumeration cap {max_arity}")
 
 
 def complement(rel: Relation) -> Relation:
@@ -444,22 +451,29 @@ def dump_relation(rel: Relation, name: str = "R") -> str:
 
 
 def load_relation(text: str) -> tuple[str, Relation]:
-    lines = []
-    for raw in text.splitlines():
+    lines = []  # (1-based line number in the text, content)
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            lines.append(line)
+            lines.append((number, line))
     if not lines:
         raise ParseError("empty relation file")
-    m = _HEADER_RE.match(lines[0])
+    header = lines[0][1]
+    m = _HEADER_RE.match(header)
     if not m:
-        raise ParseError(f"bad header line: {lines[0]!r}")
+        raise ParseError(f"bad header line: {header!r}")
     elems = [e.strip() for e in m.group("elems").split(",") if e.strip()]
     domain = Domain(m.group("dom"), tuple(elems))
     if len(lines) < 2:
         raise ParseError("missing attribute line")
-    attrs = () if lines[1] == "." else tuple(lines[1].split())
+    attrs = () if lines[1][1] == "." else tuple(lines[1][1].split())
     rows = []
-    for line in lines[2:]:
-        rows.append(() if line == "." else tuple(line.split()))
+    for number, line in lines[2:]:
+        row = () if line == "." else tuple(line.split())
+        if len(row) != len(attrs):
+            raise ParseError(
+                f"line {number}: row length {len(row)} does not match "
+                f"scheme of arity {len(attrs)}"
+            )
+        rows.append(row)
     return m.group("name"), Relation.make(domain, attrs, rows)

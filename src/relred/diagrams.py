@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import analysis, core, dependencies
-from .caps import Caps, DEFAULT_CAPS
 from .core import Relation
 from .errors import CapExceededError, PreconditionError
 from .formula import (
@@ -61,9 +60,6 @@ class ProjoinGraph:
         """Graph degree, plus one for free attribute vertices (their stem)."""
         return self.degree(var) + (1 if var in self.free else 0)
 
-    def is_free(self, var: str) -> bool:
-        return var in self.free
-
 
 def build_projoin_graph(f: Formula) -> ProjoinGraph:
     params, atoms = flatten(f)
@@ -91,10 +87,6 @@ class BondingDiagram:
     edges: tuple[tuple[End, End, str], ...]  # (end, end, variable label)
 
     @property
-    def loose_ends(self) -> tuple[tuple[End, str], ...]:
-        return tuple((a, label) for a, b, label in self.edges if b is None)
-
-    @property
     def is_bond_diagram(self) -> bool:
         return not self.branch_points
 
@@ -110,7 +102,7 @@ def to_bonding_diagram(g: ProjoinGraph) -> BondingDiagram:
     all_vars = list(g.free) + [v for v in g.bound if v not in g.free]
     for v in sorted(all_vars, key=var_key):
         slots = [i for i, w in g.edges if w == v]
-        if g.is_free(v):
+        if v in g.free:
             if len(slots) == 1:
                 edges.append((("P", slots[0]), None, v))
             else:
@@ -522,7 +514,6 @@ def _proter_upper(f: Formula) -> Optional[int]:
 def ternarity_bounds(
     rel: Relation,
     certificates: Sequence[ReductionCertificate] = (),
-    caps: Caps = DEFAULT_CAPS,
 ) -> TernarityReport:
     """Interval [lower, upper] for the minimal number of ternaries in a
     subternaric bond reduction, from degeneracy, key admission, parity,
@@ -580,7 +571,7 @@ def ternarity_bounds(
             for left in [
                 (rel.attrs[0], other) for other in rel.attrs[1:]
             ]:
-                verdicts.append(analysis.rel_prod_reducible2(rel, left, caps))
+                verdicts.append(analysis.rel_prod_reducible2(rel, left))
             if any(v is not None for v in verdicts):
                 uppers.append(2)
                 evidence.append({"test": "two-ternary-oracle", "verdict": True})

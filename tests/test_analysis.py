@@ -16,7 +16,7 @@ from relred.analysis import (
     rel_prod_reducible2,
     ternary_oracle_suite,
 )
-from relred.caps import Caps
+from relred.caps import Caps, using
 from relred.core import Relation, cartesian, complement, standard
 from relred.errors import CapExceededError
 from relred.formula import check_certificate, classify
@@ -109,8 +109,8 @@ def test_boolean_rank_identity(d2):
 def test_rank_cap(d2):
     i2 = standard("identity", 2, d2)
     m = bipartition_matrix(i2, ("1",))
-    with pytest.raises(CapExceededError):
-        boolean_rank_at_most(m, 2, Caps(rank_max_ones=1))
+    with using(Caps(rank_max_ones=1)), pytest.raises(CapExceededError):
+        boolean_rank_at_most(m, 2)
 
 
 def test_relprod2_on_identity4(d3):
@@ -161,13 +161,14 @@ def test_census_sampled_deterministic():
     (3, 2, Caps(max_domain=2)), (2, 3, Caps(max_arity=2)),
 ])
 def test_census_sampled_caps_before_allocating(no_census_space, d, n, caps):
-    with pytest.raises(CapExceededError, match="max_domain"):
-        census_sampled(d, n, 1, caps=caps)
+    with using(caps), pytest.raises(CapExceededError, match="max_domain"):
+        census_sampled(d, n, 1)
 
 
 def test_census_sampled_at_the_caps_builds_the_space(no_census_space):
-    with pytest.raises(AssertionError, match="census space built"):
-        census_sampled(2, 3, 1, caps=Caps(max_domain=2, max_arity=3))
+    with using(Caps(max_domain=2, max_arity=3)):
+        with pytest.raises(AssertionError, match="census space built"):
+            census_sampled(2, 3, 1)
 
 
 def test_join_reducibility_matches_cover_search_sample(d2):

@@ -410,9 +410,29 @@ def test_bad_caps_env_exit_2(spec):
 
 
 def test_bad_caps_env_import_keeps_defaults():
-    res = _with_caps("bogus=1", "-c",
-                     "import relred; print(relred.DEFAULT_CAPS == relred.Caps())")
+    res = _with_caps("bogus=1", "-c", "import relred; from relred.caps import current; "
+                     "print(current() == relred.Caps())")
     assert res.returncode == 0 and res.stdout == "True\n"
+
+
+def test_caps_env_same_end_in_process_and_in_subprocess(workdir):
+    # the domain cap is checked in core, the other caps in the deciders:
+    # both read the caps the run set from RELRED_CAPS
+    rel = str(workdir / "I4.rel")  # a 3-element domain
+    args = ["analyze", rel, "--degenerate"]
+    inproc = CliRunner().invoke(main, args, env={"RELRED_CAPS": "max_domain=2"})
+    sub = _with_caps("max_domain=2", "-m", "relred.cli", *args)
+    assert (inproc.exit_code, inproc.stderr) == (sub.returncode, sub.stderr)
+    assert sub.returncode == 4 and sub.stderr == "cap exceeded: domain size 3 exceeds cap 2\n"
+    # the run's caps end with the run
+    assert CliRunner().invoke(main, args).exit_code == 0
+
+
+def test_relation_row_length_exit_2(runner, workdir):
+    (workdir / "R.rel").write_text("@relation R over D(a,b)\n1 2\na\n")
+    res = run(runner, workdir, "analyze", "R.rel", "--degenerate")
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == "parse error: line 3: row length 1 does not match scheme of arity 2\n"
 
 
 def test_in_process_run_frees_captured_output():

@@ -10,10 +10,11 @@ pool, so outputs written by one example are not inputs to the next.  The
 run must end with exit 0, 2, 3, 4 or 5 and print no traceback.  Examples
 are derandomized so that the suite stays deterministic.
 
-The runs read ``RELRED_CAPS=max_arity=6``: under the default caps a
-sampled census over 8^8 cells takes about 3 s, most of it spent writing
-counts of some ten million decimal digits, and the grammar draws such a
-census.
+The runs read ``RELRED_CAPS=max_arity=6``, and every cap check of a run
+reads it, ``core``'s arity cap on ``complement`` and ``standard``
+included.  Under the default caps a sampled census over 8^8 cells takes
+about 3 s, most of it spent writing counts of some ten million decimal
+digits, and the grammar draws such a census.
 """
 
 import os

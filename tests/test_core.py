@@ -158,6 +158,16 @@ def test_load_rejects_bad_header():
         load_relation("not a relation file")
 
 
+@pytest.mark.parametrize("text,line", [
+    ("@relation R over D(a,b)\n1 2\na\n", 3),
+    ("# comment\n@relation R over D(a,b)\n\n1 2  # scheme\na b\n.\n", 6),
+    ("@relation R over D(a,b)\n.\na\n", 3),
+], ids=["short", "comments_and_blanks_counted", "nullary"])
+def test_load_row_length_names_the_line(text, line):
+    with pytest.raises(ParseError, match=f"^line {line}: row length"):
+        load_relation(text)
+
+
 def test_load_nullary():
     # "." in the rows section is the empty tuple, so this is the true relation
     name, r = load_relation("@relation T over D(a)\n.\n.\n")

@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 
 from relred import core, formula
 from relred.core import Domain, Relation
-from relred.errors import AttributeSchemeError, BondabilityError, PreconditionError
+from relred.errors import (
+    AttributeSchemeError,
+    BondabilityError,
+    ParseError,
+    PreconditionError,
+)
 
 PROPS = settings(
     derandomize=True,
@@ -299,7 +304,7 @@ def test_constructors_reject_wrong_row_lengths(rel, longer):
     with pytest.raises(AttributeSchemeError, match="row length"):
         Relation.make(rel.domain, rel.attrs, sorted(rel.rows) + [bad])
     text = core.dump_relation(rel).rstrip("\n") + "\n" + (" ".join(bad) or ".") + "\n"
-    with pytest.raises(AttributeSchemeError, match="row length"):
+    with pytest.raises(ParseError, match="row length"):
         core.load_relation(text)
 
 
