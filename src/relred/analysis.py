@@ -224,18 +224,29 @@ def _cover(cells: int, pieces: Sequence[int], budget: int) -> Optional[list[int]
     """Indices of at most ``budget`` of ``pieces`` (bitmasks inside
     ``cells``) whose union is ``cells``, or None.  Branches on the lowest
     uncovered bit and tries the pieces covering it in the order given, so
-    that order fixes the cover found (Knuth's Algorithm X on bitmasks)."""
-    if not cells:
-        return []
-    if budget == 0:
+    that order fixes the cover found (Knuth's Algorithm X on bitmasks).
+    A search visiting more than ``max_search_nodes`` nodes is refused."""
+    cap = current().max_search_nodes
+    nodes = 0
+
+    def search(cells: int, budget: int) -> Optional[list[int]]:
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise CapExceededError(f"cover search exceeds {cap} nodes")
+        if not cells:
+            return []
+        if budget == 0:
+            return None
+        low = cells & -cells
+        for i, piece in enumerate(pieces):
+            if piece & low:
+                rest = search(cells & ~piece, budget - 1)
+                if rest is not None:
+                    return [i] + rest
         return None
-    low = cells & -cells
-    for i, piece in enumerate(pieces):
-        if piece & low:
-            rest = _cover(cells & ~piece, pieces, budget - 1)
-            if rest is not None:
-                return [i] + rest
-    return None
+
+    return search(cells, budget)
 
 
 def boolean_rank_at_most(m: BooleanMatrix, k: int) -> Optional[list[tuple[int, int]]]:
@@ -315,8 +326,10 @@ def one_param_ternary_projoin(rel: Relation) -> Optional[ReductionCertificate]:
             "the condensed one-parameter form need not capture all reductions",
             projection=list(combo),
         )
-    if (2 ** d.size - 1) ** 3 > 2 * 10 ** 6:
-        raise CapExceededError("box enumeration too large for this domain size")
+    candidates = (2 ** d.size - 1) ** 3
+    max_boxes = current().max_boxes
+    if candidates > max_boxes:
+        raise CapExceededError(f"box enumeration of {candidates} boxes exceeds cap {max_boxes}")
     elems = sorted(d.elements)
     cells = list(itertools.product(elems, repeat=3))
     subsets = [

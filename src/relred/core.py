@@ -15,9 +15,16 @@ membership; ``load_relation`` checks row lengths first, so that a bad row
 is a ``ParseError`` naming its line in the text.  The operators
 (``project``, ``select``, ``rename``, ``complement``, ``standard``,
 ``projoin`` and what is built on them) trust their validated inputs and
-build results with ``_relation``, unchecked; ``projoin`` is the one join
-loop, and a derived scheme is filtered out of a canonical one, not
-re-sorted.
+build results with ``_relation``, unchecked; a derived scheme is filtered
+out of a canonical one, not re-sorted.
+
+Every join goes through one planned loop, ``_projoin``: it joins
+positional ``(attributes, rows)`` parts connected-first, smallest
+estimated result first, keeps only the columns still needed at each step
+(early projection), and sorts the result to canonical order once, at the
+end.  ``projoin`` feeds it relations, and ``formula.evaluate`` feeds it
+atoms, so a natural join's result never depends on the order its parts
+are given in.
 
 ``projection_sizes`` is the one table of projection cardinalities, read by
 the product, key and universality tests of ``analysis`` and ``dependencies``.
@@ -37,7 +44,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .caps import current
 from .errors import (
@@ -355,42 +362,81 @@ def join(relations: Sequence[Relation]) -> Relation:
     return projoin(relations, {a for r in relations for a in r.attrs})
 
 
-def _join2(a: Relation, b: Relation) -> Relation:
-    b_scheme = b.scheme
-    shared = tuple(x for x in a.attrs if x in b_scheme)
-    out_attrs = canonical_attrs(a.scheme | b_scheme)
-    a_key = _picker([a.attrs.index(x) for x in shared])
-    b_key = _picker([b.attrs.index(x) for x in shared])
-    index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for row in b.rows:
-        index.setdefault(b_key(row), []).append(row)
-    # each output value is picked from the concatenation row + other
-    pos = {x: i for i, x in enumerate(b.attrs, start=a.arity)}
-    pos.update((x, i) for i, x in enumerate(a.attrs))
-    pick = _picker([pos[x] for x in out_attrs])
-    rows = set()
-    for row in a.rows:
-        for other in index.get(a_key(row), ()):
-            rows.add(pick(row + other))
-    return _relation(a.domain, out_attrs, frozenset(rows))
-
-
 def projoin(relations: Sequence[Relation], keep: Iterable[str]) -> Relation:
-    """Projective join: the natural join projected to ``keep``, and the one
-    join loop.  It joins in the order given and projects each attribute
-    outside ``keep`` out right after the last relation that carries it
-    (early projection, Yannakakis 1981)."""
-    _same_domain(relations)
-    last = {a: i for i, r in enumerate(relations) for a in r.attrs}
-    want = _wanted(keep, last)
-    acc = relations[0]
-    for i, r in enumerate(relations):
-        if i:
-            acc = _join2(acc, r)
-        needed = tuple(a for a in acc.attrs if a in want or last[a] > i)
-        if needed != acc.attrs:
-            acc = project(acc, needed)
-    return acc
+    """Projective join: the natural join projected to ``keep``.  Every join
+    goes through here, and through the one planned loop of ``_projoin``."""
+    domain = _same_domain(relations)
+    want = _wanted(keep, {a for r in relations for a in r.attrs})
+    return _projoin(domain, [(r.attrs, r.rows) for r in relations], want)
+
+
+def _projoin(
+    domain: Domain,
+    parts: Sequence[tuple[tuple[str, ...], Collection[tuple[str, ...]]]],
+    keep: Collection[str],
+) -> Relation:
+    """The one join loop, on ``(attributes, rows)`` parts: each row a tuple
+    aligned with its part's attributes, which are distinct, in any order.
+    ``keep`` lies in the union of the parts' attributes.
+
+    Starting from TRUE, each step joins the part that shares an attribute
+    with the result so far and has the smallest estimated result
+    |acc| * |part| / d^shared, ties going to the earlier part; a
+    disconnected part is joined only when no connected one is left (greedy
+    contraction, Gray & Kourtis 2021), so the first part joined is the
+    smallest.  A step hashes the part on the shared columns and builds rows
+    holding only the columns still needed -- kept, or carried by a part not
+    yet joined -- so joining and early projection (Yannakakis 1981) are one
+    pass.  Intermediate columns stay positional; the result is put in
+    canonical attribute order once, at the end."""
+    d = domain.size
+    uses = Counter(a for attrs, _ in parts for a in attrs)
+    left = list(range(len(parts)))
+    attrs: tuple[str, ...] = ()
+    rows: Collection[tuple[str, ...]] = {()}
+    while left:
+        carried = set(attrs)
+
+        def cost(i: int):
+            shared = len(carried.intersection(parts[i][0]))
+            return not shared, len(rows) * len(parts[i][1]) / d**shared
+
+        i = min(left, key=cost)
+        left.remove(i)
+        part_attrs, part_rows = parts[i]
+        for a in part_attrs:
+            uses[a] -= 1
+        needed = [k for k, a in enumerate(part_attrs) if a in keep or uses[a]]
+        if not attrs:  # TRUE or FALSE so far: the part, projected
+            attrs = tuple(part_attrs[k] for k in needed)
+            if rows:
+                projected = len(needed) < len(part_attrs)
+                rows = frozenset(map(_picker(needed), part_rows)) if projected else part_rows
+            continue
+        pos = {a: k for k, a in enumerate(attrs)}
+        shared = [k for k, a in enumerate(part_attrs) if a in pos]
+        extra = [k for k in needed if part_attrs[k] not in pos]
+        head = [k for k, a in enumerate(attrs) if a in keep or uses[a]]
+        part_key, part_extra = _picker(shared), _picker(extra)
+        index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        for row in part_rows:
+            index.setdefault(part_key(row), []).append(part_extra(row))
+        key = _picker([pos[part_attrs[k]] for k in shared])
+        pick_head = _picker(head)
+        out: set[tuple[str, ...]] = set()
+        for row in rows:
+            tails = index.get(key(row))
+            if tails:
+                start = pick_head(row)
+                for tail in tails:
+                    out.add(start + tail)
+        attrs = tuple(attrs[k] for k in head) + tuple(part_attrs[k] for k in extra)
+        rows = out
+    final = canonical_attrs(attrs)
+    if final != attrs:
+        pos = {a: k for k, a in enumerate(attrs)}
+        rows = frozenset(map(_picker([pos[a] for a in final]), rows))
+    return _relation(domain, final, frozenset(rows))
 
 
 def relative_product(a: Relation, b: Relation) -> Relation:

@@ -12,9 +12,12 @@ Evaluation is extensional: an atom's arguments map positionally onto the
 canonical attribute order of the relation bound to its symbol, repeated
 variables select the diagonal, conjunction joins, and quantification
 projects.  A formula is evaluated as one projoin: ``flatten`` renames its
-bound variables apart and lists its atoms, and ``core.projoin`` joins the
-atoms' relations in that order, projecting each bound variable out right
-after its last atom.  ``Conj`` splices nested conjunctions into one.
+bound variables apart and lists its atoms, each atom becomes a positional
+part -- its arguments over its relation's rows, with no ``Relation``
+built -- and the planned loop of ``core._projoin`` joins the parts
+connected-first, smallest estimated result first, dropping each bound
+variable once no part left to join carries it.  ``Conj`` splices nested
+conjunctions into one.
 """
 
 from __future__ import annotations
@@ -251,12 +254,13 @@ def evaluate(
     if free_order is not None and set(free_order) != free:
         raise PreconditionError("free_order does not match the formula's free variables")
     domain = env_domain(env)
-    return core.projoin([_atom_relation(a, env, domain) for a in atoms], free)
+    return core._projoin(domain, [_atom_part(a, env) for a in atoms], free)
 
 
-def _atom_relation(atom: Atom, env: Environment, domain: Domain) -> Relation:
-    """The relation of one atom: its symbol's relation with the arguments as
-    attributes, a repeated variable selecting the diagonal of its columns."""
+def _atom_part(atom: Atom, env: Environment) -> tuple[tuple[str, ...], frozenset]:
+    """One atom as a projoin part: its arguments over the rows of its
+    symbol's relation, which are not copied; a repeated variable keeps the
+    diagonal of its columns and only the first of them."""
     try:
         rel = env[atom.symbol]
     except KeyError:
@@ -265,14 +269,13 @@ def _atom_relation(atom: Atom, env: Environment, domain: Domain) -> Relation:
         raise PreconditionError(
             f"arity mismatch: {atom.symbol} has arity {rel.arity}, atom has {len(atom.args)}"
         )
-    out_attrs = core.canonical_attrs(set(atom.args))
-    first = {v: atom.args.index(v) for v in atom.args}
-    pick = core._picker([first[v] for v in out_attrs])
+    first = {v: atom.args.index(v) for v in atom.args}  # in order of first use
+    if len(first) == len(atom.args):
+        return atom.args, rel.rows
     repeats = [(p, first[v]) for p, v in enumerate(atom.args) if first[v] != p]
-    rows = rel.rows
-    if repeats:
-        rows = (r for r in rows if all(r[p] == r[q] for p, q in repeats))
-    return core._relation(domain, out_attrs, frozenset(map(pick, rows)))
+    pick = core._picker(list(first.values()))
+    rows = (r for r in rel.rows if all(r[p] == r[q] for p, q in repeats))
+    return tuple(first), frozenset(map(pick, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 import pytest
 
 from relred import Caps, using
-from relred.analysis import census_sampled
-from relred.caps import current
-from relred.core import Domain, complement, standard
+from relred.analysis import census_sampled, one_param_ternary_projoin, rel_prod_reducible2
+from relred.caps import current, from_env
+from relred.core import Domain, Relation, complement, standard
 from relred.errors import CapExceededError
 
 D2 = Domain("D2", ("a", "b"))
@@ -44,3 +44,29 @@ def test_using_nests():
             assert current() is TIGHT
         CHECKS["domain"]()
     assert current() == Caps()
+
+
+D3 = Domain("D3", ("a", "b", "c"))
+# a Latin square: its proper projections are universal, as the box decider needs
+LATIN3 = Relation.make(
+    D3, ("1", "2", "3"),
+    [(x, y, D3.elements[(i + j) % 3]) for i, x in enumerate(D3.elements)
+     for j, y in enumerate(D3.elements)],
+)
+SEARCHES = {
+    "box_nodes": (Caps(max_search_nodes=1), lambda: one_param_ternary_projoin(LATIN3)),
+    "rank_nodes": (Caps(max_search_nodes=1), lambda: rel_prod_reducible2(I3, ["1"])),
+    "boxes": (Caps(max_boxes=7 ** 3 - 1), lambda: one_param_ternary_projoin(LATIN3)),
+}
+
+
+@pytest.mark.parametrize("caps, search", SEARCHES.values(), ids=SEARCHES.keys())
+def test_search_caps(caps, search):
+    with using(caps), pytest.raises(CapExceededError):
+        search()
+    search()
+
+
+def test_search_caps_from_env(monkeypatch):
+    monkeypatch.setenv("RELRED_CAPS", "max_search_nodes=5, max_boxes=7")
+    assert from_env() == Caps(max_search_nodes=5, max_boxes=7)

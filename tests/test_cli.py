@@ -1,14 +1,18 @@
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
 
 import relred
+from relred.caps import Caps
 from relred.cli import main
-from relred.core import complement, dump_relation, standard
+from relred.core import Domain, Relation, complement, dump_relation, standard
 
 
 
@@ -426,6 +430,44 @@ def test_caps_env_same_end_in_process_and_in_subprocess(workdir):
     assert sub.returncode == 4 and sub.stderr == "cap exceeded: domain size 3 exceeds cap 2\n"
     # the run's caps end with the run
     assert CliRunner().invoke(main, args).exit_code == 0
+
+
+def test_hypostatic_two_pipeline_on_d4_n5(runner, workdir):
+    # the bonds explicate and merge write list every factor before the
+    # teridentity chain connecting them; joined in that order, this
+    # pipeline built Cartesian intermediates and took about 20 s
+    rng = random.Random(5)
+    rows = sorted({tuple(rng.choice("abcd") for _ in range(5)) for _ in range(40)})[:16]
+    rel = Relation.make(Domain("D4", tuple("abcd")), [str(i + 1) for i in range(5)], rows)
+    (workdir / "R16.rel").write_text(dump_relation(rel))
+    start = time.perf_counter()
+    for args in (["reduce", "R16.rel", "--hypostatic", "2", "-o", "h2"],
+                 ["explicate", "h2", "-o", "h2b"],
+                 ["merge", "h2b", "-o", "h2m"]):
+        assert run(runner, workdir, *args).exit_code == 0
+    res = run(runner, workdir, "verify", "h2m")
+    assert res.exit_code == 0 and res.output.startswith("valid")
+    assert time.perf_counter() - start < 5
+
+
+def test_cover_search_node_cap_exit_4(runner, workdir):
+    # the cyclic Latin square on six elements plus each other cell at
+    # probability 0.8: every proper projection is universal, and without
+    # a node cap the box decider's cover search ran for minutes
+    d, rng = 6, random.Random(2)
+    cells = {(x, y, (x + y) % d) for x in range(d) for y in range(d)}
+    cells |= {c for c in itertools.product(range(d), repeat=3)
+              if c not in cells and rng.random() < 0.8}
+    assert len(cells) == 180
+    elements = tuple("abcdef")
+    rel = Relation.make(Domain("D6", elements), ("1", "2", "3"),
+                        [tuple(elements[v] for v in c) for c in cells])
+    (workdir / "L6.rel").write_text(dump_relation(rel))
+    start = time.perf_counter()
+    res = run(runner, workdir, "analyze", "L6.rel", "--one-param")
+    assert res.exit_code == 4
+    assert res.output == f"cap exceeded: cover search exceeds {Caps().max_search_nodes} nodes\n"
+    assert time.perf_counter() - start < 10
 
 
 def test_relation_row_length_exit_2(runner, workdir):

@@ -172,6 +172,30 @@ def test_projoin_matches_reference(rels, data):
         core.projoin(rels, keep | {"q"})
 
 
+# Parts the join loop must place in any order: the 0-ary TRUE and FALSE, an
+# empty relation, and one over an attribute no other part carries.
+EXTRA_PARTS = {
+    "true": core.true_relation,
+    "false": core.false_relation,
+    "empty": lambda d: Relation(d, ("1", "z"), frozenset()),
+    "apart": lambda d: Relation(d, ("z",), frozenset((e,) for e in d.elements[:2])),
+}
+
+
+@pytest.mark.parametrize("extra", EXTRA_PARTS.values(), ids=EXTRA_PARTS.keys())
+@PROPS
+@given(relation_lists(3), st.data())
+def test_projoin_independent_of_part_order(extra, rels, data):
+    rels = rels + [extra(rels[0].domain)]
+    union = sorted({a for r in rels for a in r.attrs})
+    keep = data.draw(st.sets(st.sampled_from(union))) if union else set()
+    want = ref_project(ref_join(rels), keep)
+    for order in itertools.permutations(rels):
+        got = revalidated(core.projoin(list(order), keep))
+        assert got.attrs == core.canonical_attrs(keep)
+        assert as_set(got) == want
+
+
 VARS = ("u", "v", "w")
 
 
@@ -264,6 +288,27 @@ def test_evaluate_matches_reference(case):
 @given(domains().flatmap(lambda d: st.tuples(relations(d, scheme=["1", "2"]),
                                              relations(d, scheme=["1", "2"]))))
 def test_evaluate_shadowed_variables(text, pair):
+    f = formula.parse(text)
+    env = dict(zip(("P", "Q"), pair))
+    got = revalidated(formula.evaluate(f, env))
+    assert as_set(got) == ref_evaluate(f, env)
+
+
+# a repeated variable keeps the diagonal of its columns
+REPEATED = (
+    "P(x,x,y)",
+    "Q(y,x,y)",
+    "P(x,x,y) & Q(y,x,y)",
+    "exists x . P(x,x,y) & Q(y,x,y)",
+    "exists y . Q(y,x,y) & P(x,y,y) & P(x,x,x)",
+)
+
+
+@pytest.mark.parametrize("text", REPEATED)
+@PROPS
+@given(domains().flatmap(lambda d: st.tuples(relations(d, scheme=["1", "2", "3"]),
+                                             relations(d, scheme=["1", "2", "3"]))))
+def test_evaluate_repeated_variables(text, pair):
     f = formula.parse(text)
     env = dict(zip(("P", "Q"), pair))
     got = revalidated(formula.evaluate(f, env))
