@@ -303,6 +303,9 @@ def rel_prod_reducible2(
 # ---------------------------------------------------------------------------
 
 
+_MAX_BOXES = 2 * 10 ** 6  # (2^d - 1)^3 candidate boxes exceed it exactly when d >= 7
+
+
 def one_param_ternary_projoin(rel: Relation) -> Optional[ReductionCertificate]:
     """Exact one-parameter projoin decision for ternaries whose proper
     projections are all universal.
@@ -327,9 +330,8 @@ def one_param_ternary_projoin(rel: Relation) -> Optional[ReductionCertificate]:
             projection=list(combo),
         )
     candidates = (2 ** d.size - 1) ** 3
-    max_boxes = current().max_boxes
-    if candidates > max_boxes:
-        raise CapExceededError(f"box enumeration of {candidates} boxes exceeds cap {max_boxes}")
+    if candidates > _MAX_BOXES:
+        raise CapExceededError(f"box enumeration of {candidates} boxes exceeds cap {_MAX_BOXES}")
     elems = sorted(d.elements)
     cells = list(itertools.product(elems, repeat=3))
     subsets = [

@@ -1,9 +1,8 @@
 """Enumeration caps.
 
 Everything in this library works by explicit enumeration of D^Sigma, so
-domain size and arity are capped to keep that enumerable, and so are the
-exhaustive searches: the cover search by the nodes it visits and the box
-decider by the candidate boxes it enumerates.  The active caps
+domain size and arity are capped to keep that enumerable, and so is the
+exhaustive cover search, by the nodes it visits.  The active caps
 live in one context variable: ``current()`` reads them, and ``with
 using(caps):`` sets them for a block and restores the previous value when
 the block ends, also when it raises.  Library calls run under ``Caps()``
@@ -35,7 +34,6 @@ class Caps:
     rank_max_cells: int = 65536        # Boolean-rank search refuses larger matrices
     rank_max_ones: int = 24            # ... or denser ones
     max_search_nodes: int = 1_000_000  # nodes one cover search (Boolean rank, boxes) may visit
-    max_boxes: int = 2_000_000         # candidate boxes (2^d - 1)^3 of the box decider
 
 
 _ACTIVE: ContextVar[Caps] = ContextVar("relred_caps", default=Caps())

@@ -19,10 +19,9 @@ build results with ``_relation``, unchecked; a derived scheme is filtered
 out of a canonical one, not re-sorted.
 
 Every join goes through one planned loop, ``_projoin``: it joins
-positional ``(attributes, rows)`` parts connected-first, smallest
-estimated result first, keeps only the columns still needed at each step
-(early projection), and sorts the result to canonical order once, at the
-end.  ``projoin`` feeds it relations, and ``formula.evaluate`` feeds it
+positional ``(attributes, rows)`` parts connected-first, smallest part
+first, keeps only the columns still needed at each step (early
+projection), and sorts the result to canonical order once, at the end.  ``projoin`` feeds it relations, and ``formula.evaluate`` feeds it
 atoms, so a natural join's result never depends on the order its parts
 are given in.
 
@@ -379,43 +378,29 @@ def _projoin(
     aligned with its part's attributes, which are distinct, in any order.
     ``keep`` lies in the union of the parts' attributes.
 
-    Starting from TRUE, each step joins the part that shares an attribute
-    with the result so far and has the smallest estimated result
-    |acc| * |part| / d^shared, ties going to the earlier part; a
-    disconnected part is joined only when no connected one is left (greedy
-    contraction, Gray & Kourtis 2021), so the first part joined is the
-    smallest.  A step hashes the part on the shared columns and builds rows
+    Starting from TRUE, each step joins the smallest part that shares an
+    attribute with the result so far, ties going to the earlier part; a
+    disconnected part is joined only when no connected one is left, so
+    every connected chain of parts is contracted before a Cartesian step,
+    starting from its smallest part (greedy contraction, Gray & Kourtis
+    2021).  A step hashes the part on the shared columns and builds rows
     holding only the columns still needed -- kept, or carried by a part not
     yet joined -- so joining and early projection (Yannakakis 1981) are one
     pass.  Intermediate columns stay positional; the result is put in
     canonical attribute order once, at the end."""
-    d = domain.size
     uses = Counter(a for attrs, _ in parts for a in attrs)
     left = list(range(len(parts)))
     attrs: tuple[str, ...] = ()
     rows: Collection[tuple[str, ...]] = {()}
     while left:
-        carried = set(attrs)
-
-        def cost(i: int):
-            shared = len(carried.intersection(parts[i][0]))
-            return not shared, len(rows) * len(parts[i][1]) / d**shared
-
-        i = min(left, key=cost)
+        pos = {a: k for k, a in enumerate(attrs)}
+        connected = [i for i in left if any(a in pos for a in parts[i][0])]
+        i = min(connected or left, key=lambda j: len(parts[j][1]))
         left.remove(i)
         part_attrs, part_rows = parts[i]
-        for a in part_attrs:
-            uses[a] -= 1
-        needed = [k for k, a in enumerate(part_attrs) if a in keep or uses[a]]
-        if not attrs:  # TRUE or FALSE so far: the part, projected
-            attrs = tuple(part_attrs[k] for k in needed)
-            if rows:
-                projected = len(needed) < len(part_attrs)
-                rows = frozenset(map(_picker(needed), part_rows)) if projected else part_rows
-            continue
-        pos = {a: k for k, a in enumerate(attrs)}
+        uses.subtract(part_attrs)
         shared = [k for k, a in enumerate(part_attrs) if a in pos]
-        extra = [k for k in needed if part_attrs[k] not in pos]
+        extra = [k for k, a in enumerate(part_attrs) if a not in pos and (a in keep or uses[a])]
         head = [k for k, a in enumerate(attrs) if a in keep or uses[a]]
         part_key, part_extra = _picker(shared), _picker(extra)
         index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}

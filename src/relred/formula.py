@@ -15,8 +15,8 @@ projects.  A formula is evaluated as one projoin: ``flatten`` renames its
 bound variables apart and lists its atoms, each atom becomes a positional
 part -- its arguments over its relation's rows, with no ``Relation``
 built -- and the planned loop of ``core._projoin`` joins the parts
-connected-first, smallest estimated result first, dropping each bound
-variable once no part left to join carries it.  ``Conj`` splices nested
+connected-first, smallest part first, dropping each bound variable once
+no part left to join carries it.  ``Conj`` splices nested
 conjunctions into one.
 """
 

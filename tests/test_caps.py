@@ -56,7 +56,6 @@ LATIN3 = Relation.make(
 SEARCHES = {
     "box_nodes": (Caps(max_search_nodes=1), lambda: one_param_ternary_projoin(LATIN3)),
     "rank_nodes": (Caps(max_search_nodes=1), lambda: rel_prod_reducible2(I3, ["1"])),
-    "boxes": (Caps(max_boxes=7 ** 3 - 1), lambda: one_param_ternary_projoin(LATIN3)),
 }
 
 
@@ -68,5 +67,18 @@ def test_search_caps(caps, search):
 
 
 def test_search_caps_from_env(monkeypatch):
-    monkeypatch.setenv("RELRED_CAPS", "max_search_nodes=5, max_boxes=7")
-    assert from_env() == Caps(max_search_nodes=5, max_boxes=7)
+    monkeypatch.setenv("RELRED_CAPS", "max_search_nodes=5")
+    assert from_env() == Caps(max_search_nodes=5)
+
+
+def test_box_enumeration_cap():
+    """(2^7 - 1)^3 candidate boxes exceed the box decider's limit, so a
+    7-element Latin square is refused before any enumeration."""
+    d7 = Domain("D7", tuple("abcdefg"))
+    latin7 = Relation.make(
+        d7, ("1", "2", "3"),
+        [(x, y, d7.elements[(i + j) % 7]) for i, x in enumerate(d7.elements)
+         for j, y in enumerate(d7.elements)],
+    )
+    with pytest.raises(CapExceededError, match="box enumeration of 2048383 boxes exceeds cap"):
+        one_param_ternary_projoin(latin7)

@@ -196,6 +196,18 @@ def test_projoin_independent_of_part_order(extra, rels, data):
         assert as_set(got) == want
 
 
+def test_projoin_keeps_columns_a_later_part_joins_on():
+    # a triangle: after two parts are joined, both carried columns that are
+    # not kept still constrain the third part, so none may be dropped yet
+    d = Domain("D", ("a", "b"))
+    same = frozenset({("a", "a"), ("b", "b")})
+    rels = [Relation(d, ("1", "2"), same), Relation(d, ("2", "3"), same),
+            Relation(d, ("1", "3"), frozenset({("a", "b")}))]
+    for order in itertools.permutations(rels):
+        for keep in ((), ("1",), ("1", "2", "3")):
+            assert not core.projoin(list(order), keep).rows
+
+
 VARS = ("u", "v", "w")
 
 
