@@ -184,11 +184,14 @@ class BooleanMatrix:
 
 def bipartition_matrix(rel: Relation, left: Iterable[str]) -> BooleanMatrix:
     """The relation as a 0-1 matrix indexed by value tuples of the two
-    blocks of a bipartition of its scheme."""
+    blocks of a bipartition of its scheme.  A matrix over ``rank_max_cells``
+    is refused before its rows and columns are listed."""
     left_c = core.canonical_attrs(left)
     if not set(left_c) < rel.scheme or not left_c:
         raise AttributeSchemeError("left block must be a nonempty proper subset")
     right_c = tuple(a for a in rel.attrs if a not in set(left_c))
+    d = rel.domain.size
+    _check_cells(d ** len(left_c) * d ** len(right_c))
     rows = list(itertools.product(rel.domain.elements, repeat=len(left_c)))
     cols = list(itertools.product(rel.domain.elements, repeat=len(right_c)))
     col_index = {t: i for i, t in enumerate(cols)}
@@ -200,6 +203,13 @@ def bipartition_matrix(rel: Relation, left: Iterable[str]) -> BooleanMatrix:
     return BooleanMatrix(
         tuple(masks[t] for t in rows), len(cols), tuple(rows), tuple(cols)
     )
+
+
+def _check_cells(cells: int) -> None:
+    """Refuse a Boolean matrix of more than ``rank_max_cells`` cells."""
+    max_cells = current().rank_max_cells
+    if cells > max_cells:
+        raise CapExceededError(f"matrix has {cells} cells > cap {max_cells}")
 
 
 def _maximal_rectangles(m: BooleanMatrix) -> list[tuple[int, int]]:
@@ -257,13 +267,10 @@ def boolean_rank_at_most(m: BooleanMatrix, k: int) -> Optional[list[tuple[int, i
     Cell (i, j) is bit i*ncols + j."""
     if k < 0:
         raise PreconditionError("rank bound must be >= 0")
-    caps = current()
-    if m.nrows * m.ncols > caps.rank_max_cells:
-        raise CapExceededError(
-            f"matrix has {m.nrows * m.ncols} cells > cap {caps.rank_max_cells}"
-        )
-    if m.ones > caps.rank_max_ones:
-        raise CapExceededError(f"matrix has {m.ones} ones > cap {caps.rank_max_ones}")
+    _check_cells(m.nrows * m.ncols)
+    max_ones = current().rank_max_ones
+    if m.ones > max_ones:
+        raise CapExceededError(f"matrix has {m.ones} ones > cap {max_ones}")
     rects = _maximal_rectangles(m)
     pieces = [
         sum(cols << i * m.ncols for i in range(m.nrows) if rows >> i & 1)

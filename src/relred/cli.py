@@ -8,6 +8,10 @@ All outputs are deterministic; ``--threads`` is accepted for interface
 stability but evaluation is serial (results are independent of it).
 ``RELRED_CAPS`` is read once per run, and every cap check of the command
 reads those caps (``caps.using``) until the run ends.
+``verify`` evaluates a bundle once: loading it builds the certificate,
+which verifies by evaluation, and the verdict reuses that result;
+``formula.check_certificate`` re-evaluates, for callers holding a
+certificate object that may have been altered since it was built.
 """
 
 from __future__ import annotations
@@ -351,13 +355,11 @@ def verify_cmd(ctx, cert_file):
     except VerificationError as e:
         _echo(f"invalid: {e}", err=True)
         sys.exit(EXIT_VERIFY)
-    verdict = formula.check_certificate(cert)
+    # loading verified the bundle by evaluation, so it is not evaluated again
+    verdict = formula.certificate_verdict(cert, valid=True)
     _emit(ctx, verdict.to_json(),
-          ("valid" if verdict.valid else "INVALID")
-          + f" kind={verdict.classification.kind if verdict.classification else '?'}"
-          + f" factors={list(verdict.factor_arities)}")
-    if not verdict.valid:
-        sys.exit(EXIT_VERIFY)
+          f"valid kind={verdict.classification.kind if verdict.classification else '?'}"
+          f" factors={list(verdict.factor_arities)}")
 
 
 if __name__ == "__main__":

@@ -9,11 +9,11 @@ All values are immutable; every operation returns a fresh relation.
 
 Values are validated where they enter: ``Domain(...)`` checks its name and
 element symbols, and the public ``Relation(...)`` constructor -- hence also
-``Relation.make`` and ``load_relation``, which go through it -- checks the
+``Relation.make`` and ``load_relation``, which end in it -- checks the
 attribute names and order, every row's length and every value's domain
-membership; ``load_relation`` checks row lengths first, so that a bad row
-is a ``ParseError`` naming its line in the text.  The operators
-(``project``, ``select``, ``rename``, ``complement``, ``standard``,
+membership, once per relation; ``load_relation`` checks row lengths first,
+so that a bad row is a ``ParseError`` naming its line in the text.  The
+operators (``project``, ``select``, ``rename``, ``complement``, ``standard``,
 ``projoin`` and what is built on them) trust their validated inputs and
 build results with ``_relation``, unchecked; a derived scheme is filtered
 out of a canonical one, not re-sorted.
@@ -152,6 +152,7 @@ class Relation:
         attribute order) or as attribute->value mappings."""
         given = tuple(attrs)
         canon = canonical_attrs(given)
+        pick = _picker([given.index(a) for a in canon])
         out = set()
         for row in rows:
             if isinstance(row, Mapping):
@@ -161,8 +162,7 @@ class Relation:
             else:
                 if len(row) != len(given):
                     raise AttributeSchemeError("row length does not match scheme")
-                binding = dict(zip(given, row))
-                out.add(tuple(binding[a] for a in canon))
+                out.add(pick(row))
         return Relation(domain, canon, frozenset(out))
 
     @property
@@ -388,17 +388,21 @@ def _projoin(
     yet joined -- so joining and early projection (Yannakakis 1981) are one
     pass.  Intermediate columns stay positional; the result is put in
     canonical attribute order once, at the end."""
-    uses = Counter(a for attrs, _ in parts for a in attrs)
+    uses: dict[str, int] = {}  # how many parts not yet joined carry each attribute
+    for part_attrs, _ in parts:
+        for a in part_attrs:
+            uses[a] = uses.get(a, 0) + 1
     left = list(range(len(parts)))
     attrs: tuple[str, ...] = ()
     rows: Collection[tuple[str, ...]] = {()}
     while left:
         pos = {a: k for k, a in enumerate(attrs)}
-        connected = [i for i in left if any(a in pos for a in parts[i][0])]
+        connected = [i for i in left if not pos.keys().isdisjoint(parts[i][0])]
         i = min(connected or left, key=lambda j: len(parts[j][1]))
         left.remove(i)
         part_attrs, part_rows = parts[i]
-        uses.subtract(part_attrs)
+        for a in part_attrs:
+            uses[a] -= 1
         shared = [k for k, a in enumerate(part_attrs) if a in pos]
         extra = [k for k, a in enumerate(part_attrs) if a not in pos and (a in keep or uses[a])]
         head = [k for k, a in enumerate(attrs) if a in keep or uses[a]]
@@ -482,6 +486,10 @@ def dump_relation(rel: Relation, name: str = "R") -> str:
 
 
 def load_relation(text: str) -> tuple[str, Relation]:
+    """The name and relation of a ``.rel`` text.  Row lengths are checked
+    line by line, so that a bad row is a ``ParseError`` naming its line;
+    the rows are then put in canonical attribute order and validated once,
+    by the ``Relation`` constructor."""
     lines = []  # (1-based line number in the text, content)
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -507,4 +515,6 @@ def load_relation(text: str) -> tuple[str, Relation]:
                 f"scheme of arity {len(attrs)}"
             )
         rows.append(row)
-    return m.group("name"), Relation.make(domain, attrs, rows)
+    canon = canonical_attrs(attrs)
+    pick = _picker([attrs.index(a) for a in canon])
+    return m.group("name"), Relation(domain, canon, frozenset(map(pick, rows)))

@@ -18,6 +18,12 @@ built -- and the planned loop of ``core._projoin`` joins the parts
 connected-first, smallest part first, dropping each bound variable once
 no part left to join carries it.  ``Conj`` splices nested
 conjunctions into one.
+
+A formula's structure is computed once per node: ``free_vars`` and
+``flatten`` store their result on the frozen node the first time they are
+asked (lazily, so ``parse`` pays nothing for it), outside the dataclass
+fields, so ``==`` and ``hash`` do not see it.  A node shared between
+formulas shares its structure too.
 """
 
 from __future__ import annotations
@@ -89,11 +95,18 @@ Formula = Union[Atom, Conj, Exists]
 
 
 def free_vars(f: Formula) -> frozenset[str]:
+    try:
+        return f._free
+    except AttributeError:
+        pass
     if isinstance(f, Atom):
-        return frozenset(f.args)
-    if isinstance(f, Conj):
-        return frozenset().union(*map(free_vars, f.parts))
-    return free_vars(f.body) - f.variables
+        free = frozenset(f.args)
+    elif isinstance(f, Conj):
+        free = frozenset().union(*map(free_vars, f.parts))
+    else:
+        free = free_vars(f.body) - f.variables
+    object.__setattr__(f, "_free", free)
+    return free
 
 
 def bound_anywhere(f: Formula) -> frozenset[str]:
@@ -104,9 +117,12 @@ def bound_anywhere(f: Formula) -> frozenset[str]:
     return f.variables | bound_anywhere(f.body)
 
 
+_VAR_KEY_RE = re.compile(r"([a-z]+?)(\d+)(_?\d*)")
+
+
 def var_key(name: str):
     """Natural sort for variables: x2 before x10."""
-    m = re.fullmatch(r"([a-z]+?)(\d+)(_?\d*)", name)
+    m = _VAR_KEY_RE.fullmatch(name)
     if m:
         return (m.group(1), int(m.group(2)), name)
     return (name, -1, name)
@@ -316,11 +332,17 @@ def prenex(params: Sequence[str], atoms: Sequence[Atom]) -> Formula:
 
 def flatten(f: Formula) -> tuple[tuple[str, ...], tuple[Atom, ...]]:
     """The (parameters, atoms) decomposition behind ``normalize``."""
+    try:
+        return f._flat
+    except AttributeError:
+        pass
     names = FreshNames(free_vars(f) | bound_anywhere(f))
     params: list[str] = []
     atoms: list[Atom] = []
     _flatten(f, {}, params, atoms, names)
-    return tuple(params), tuple(atoms)
+    flat = tuple(params), tuple(atoms)
+    object.__setattr__(f, "_flat", flat)
+    return flat
 
 
 def _flatten(f, subst, params, atoms, names):
@@ -456,6 +478,12 @@ def check_certificate(cert: ReductionCertificate) -> CertificateVerdict:
         valid = core.equal_relations(cert.evaluated(), cert.target)
     except Exception:
         valid = False
+    return certificate_verdict(cert, valid)
+
+
+def certificate_verdict(cert: ReductionCertificate, valid: bool) -> CertificateVerdict:
+    """The verdict on ``cert`` given whether it evaluates to its target:
+    its classification and factor arities, without evaluating it."""
     try:
         cls = classify(cert.formula)
         arities = cls.factor_arities
@@ -493,15 +521,21 @@ def _write_text(path: str, text: str) -> None:
     (``auto_da_alloc``) closing a file that was truncated to zero starts
     its writeback, which made rewriting a small file several times dearer
     than writing it in place.  A pipe or a device reports size 0, so it is
-    never truncated.  The text is encoded as text-mode ``open`` encodes it.
+    never truncated.  The text is encoded as text-mode ``open`` encodes it
+    and written with ``os.write`` on the descriptor, no buffered file
+    between, again after a partial write until every byte is out.
     """
     data = text.encode(locale.getpreferredencoding(False))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "wb") as fh:
+    try:
         longer = os.fstat(fd).st_size > len(data)
-        fh.write(data)
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
         if longer:
-            fh.truncate()
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def save_certificate(cert: ReductionCertificate, outdir: str, name: str = "target") -> str:

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import relred
+from relred import formula
 from relred.caps import Caps
 from relred.cli import main
 from relred.core import Domain, Relation, complement, dump_relation, standard
@@ -127,7 +128,24 @@ def test_tampered_certificate_exit_5(runner, workdir):
     lines = [ln for ln in lines if ln.strip() != "a a a a"]
     target.write_text("\n".join(lines) + "\n")
     res = run(runner, workdir, "verify", "ct")
-    assert res.exit_code == 5
+    assert res.exit_code == 5 and res.stdout == ""
+    assert res.stderr == "invalid: certificate formula does not evaluate to the target\n"
+
+
+def test_verify_evaluates_once(runner, workdir, monkeypatch):
+    # loading the bundle verifies it by evaluation; the verdict reuses that
+    assert run(runner, workdir, "reduce", "I4.rel", "--hypostatic", "1",
+               "-o", "h").exit_code == 0
+    evaluate, calls = formula.evaluate, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(formula, "evaluate", counted)
+    res = run(runner, workdir, "verify", "h")
+    assert res.exit_code == 0 and res.stdout.startswith("valid kind=")
+    assert len(calls) == 1
 
 
 def test_refusal_exit_3(runner, workdir):
@@ -468,6 +486,23 @@ def test_cover_search_node_cap_exit_4(runner, workdir):
     res = run(runner, workdir, "analyze", "L6.rel", "--one-param")
     assert res.exit_code == 4
     assert res.output == f"cap exceeded: cover search exceeds {Caps().max_search_nodes} nodes\n"
+
+
+def test_rank_cells_cap_before_allocation_exit_4(workdir):
+    # the bipartition matrix of a 16-ary relation over 8 elements split
+    # 8|8 has 8^8 rows and 8^8 columns; listing them needs gigabytes, so
+    # the child runs under a 1 GB address-space limit and a cap checked
+    # after the listing ends in a MemoryError instead of exit 4
+    elements = tuple("abcdefgh")
+    rows = [tuple(elements[(i * j) % 8] for j in range(16)) for i in range(3)]
+    rel = Relation.make(Domain("D8", elements), [str(i + 1) for i in range(16)], rows)
+    (workdir / "R16.rel").write_text(dump_relation(rel))
+    limited = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+               "from relred.cli import main; main()")
+    res = _with_caps("", "-c", limited, "analyze", str(workdir / "R16.rel"),
+                     "--relprod2", "1,2,3,4,5,6,7,8")
+    assert res.returncode == 4 and res.stdout == ""
+    assert res.stderr == f"cap exceeded: matrix has {8 ** 16} cells > cap {Caps().rank_max_cells}\n"
 
 
 def test_relation_row_length_exit_2(runner, workdir):

@@ -11,6 +11,7 @@ from relred.formula import (
     Exists,
     MAX_NESTING,
     ReductionCertificate,
+    _write_text,
     check_certificate,
     classify,
     evaluate,
@@ -223,3 +224,21 @@ def test_save_over_a_larger_bundle_rewrites_in_place(tmp_path, d2):
     # a factor the new manifest does not name is left as it was
     assert sorted(os.listdir(reused)) == sorted(named + ["F3.rel"])
     assert (reused / "F3.rel").read_text() == dump_relation(larger.env["F3"], "F3")
+
+
+def test_write_text_finishes_partial_writes(tmp_path, monkeypatch):
+    real_write, calls = os.write, []
+
+    def one_byte(fd, data):
+        calls.append(len(data))
+        return real_write(fd, bytes(data[:1]))
+
+    monkeypatch.setattr(os, "write", one_byte)
+    path = tmp_path / "f.txt"
+    text = "@relation R over D(a,b)\n1 2\na b\n"
+    path.write_text(text + "x" * 100)
+    _write_text(str(path), text)
+    assert path.read_text() == text  # every byte written, the old tail cut
+    assert len(calls) == len(text.encode())
+    _write_text(str(path), text + "y")
+    assert path.read_text() == text + "y"

@@ -306,6 +306,44 @@ def test_evaluate_shadowed_variables(text, pair):
     assert as_set(got) == ref_evaluate(f, env)
 
 
+def rebuilt(f):
+    """An equal formula of new nodes, none of which has computed anything."""
+    if isinstance(f, formula.Atom):
+        return formula.Atom(f.symbol, f.args)
+    if isinstance(f, formula.Conj):
+        return formula.Conj(tuple(map(rebuilt, f.parts)))
+    return formula.Exists(f.variables, rebuilt(f.body))
+
+
+def subformulas(f):
+    yield f
+    if isinstance(f, formula.Conj):
+        for part in f.parts:
+            yield from subformulas(part)
+    elif isinstance(f, formula.Exists):
+        yield from subformulas(f.body)
+
+
+@PROPS
+@given(conjunctions(), conjunctions(), st.data())
+def test_memoized_structure_matches_reference(case1, case2, data):
+    """``free_vars`` and ``flatten`` keep their result on the node: asked
+    again, in any order, and of nodes shared by two formulas, they give
+    what a fresh computation and the recursive reference give."""
+    f1, f2 = case1[0], case2[0]
+    shared = [formula.Conj((f1, f2)), formula.Conj((f2, f1, f1))]
+    free = sorted(formula.free_vars(f1))
+    if free:
+        shared.append(formula.Exists(frozenset(free[:1]), f1))
+    nodes = [n for f in shared for n in subformulas(f)]
+    for node in data.draw(st.permutations(nodes)) + nodes:
+        assert formula.free_vars(node) == ref_free(node)
+        assert formula.flatten(node) == formula.flatten(rebuilt(node))
+        assert formula.free_vars(node) is formula.free_vars(node)
+        assert formula.flatten(node) is formula.flatten(node)
+    assert formula.Conj((f1, f2)) == shared[0] and hash(formula.Conj((f1, f2))) == hash(shared[0])
+
+
 # a repeated variable keeps the diagonal of its columns
 REPEATED = (
     "P(x,x,y)",
@@ -379,3 +417,16 @@ def test_constructors_reject_bad_schemes(rel, data):
     text = core.dump_relation(rel).replace(" ".join(rel.attrs), " ".join(doubled), 1)
     with pytest.raises(AttributeSchemeError, match="duplicate attribute"):
         core.load_relation(text)
+
+
+@PROPS
+@given(nonempty_relations(min_arity=2), st.data())
+def test_load_relation_puts_a_shuffled_scheme_in_canonical_order(rel, data):
+    order = data.draw(st.permutations(rel.attrs))
+    pick = [rel.attrs.index(a) for a in order]
+    lines = [f"@relation R over D({','.join(rel.domain.elements)})", " ".join(order)]
+    lines += [" ".join(row[k] for k in pick) for row in sorted(rel.rows)]
+    name, loaded = core.load_relation("\n".join(lines) + "\n")
+    by_name = Relation.make(rel.domain, order,
+                            [dict(zip(order, (row[k] for k in pick))) for row in rel.rows])
+    assert name == "R" and loaded == by_name == rel
