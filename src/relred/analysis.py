@@ -19,6 +19,8 @@ box decider (ternary projoins) share one bitmask cover search, ``_cover``:
 is the relation a union of at most d maximal all-ones rectangles, or boxes?
 A cover found becomes a one-parameter certificate through the labeled-union
 builder of ``reducers``: each rectangle or box gets its own parameter value.
+One budget, ``max_search_nodes``, bounds the time of both deciders: it caps
+the candidate boxes, the rectangle closure's AND steps and the cover nodes.
 """
 
 from __future__ import annotations
@@ -177,10 +179,6 @@ class BooleanMatrix:
     def nrows(self) -> int:
         return len(self.row_masks)
 
-    @property
-    def ones(self) -> int:
-        return sum(m.bit_count() for m in self.row_masks)
-
 
 def bipartition_matrix(rel: Relation, left: Iterable[str]) -> BooleanMatrix:
     """The relation as a 0-1 matrix indexed by value tuples of the two
@@ -216,10 +214,15 @@ def _maximal_rectangles(m: BooleanMatrix) -> list[tuple[int, int]]:
     """All maximal all-ones rectangles as (row_mask, col_mask) pairs.
     Column sets of maximal rectangles are exactly the nonzero AND-closure
     of the row masks; each such set is closed (the AND of the rows that
-    contain it), so with those rows it is already maximal."""
+    contain it), so with those rows it is already maximal.  A closure taking
+    more than ``max_search_nodes`` AND steps is refused."""
+    cap, steps = current().max_search_nodes, 0
     closure: set[int] = set()
     frontier = {mask for mask in m.row_masks if mask}
     while frontier:
+        steps += len(frontier) * m.nrows
+        if steps > cap:
+            raise CapExceededError(f"rectangle closure exceeds {cap} steps")
         closure |= frontier
         frontier = {
             a & b for a in frontier for b in m.row_masks if a & b and a & b not in closure
@@ -235,8 +238,11 @@ def _cover(cells: int, pieces: Sequence[int], budget: int) -> Optional[list[int]
     ``cells``) whose union is ``cells``, or None.  Branches on the lowest
     uncovered bit and tries the pieces covering it in the order given, so
     that order fixes the cover found (Knuth's Algorithm X on bitmasks).
-    A search visiting more than ``max_search_nodes`` nodes is refused."""
+    A node with more cells left than ``budget`` of the widest piece hold
+    has no cover below it, so cutting it keeps the first cover found.  A
+    search visiting more than ``max_search_nodes`` nodes is refused."""
     cap = current().max_search_nodes
+    widest = max((piece.bit_count() for piece in pieces), default=0)
     nodes = 0
 
     def search(cells: int, budget: int) -> Optional[list[int]]:
@@ -246,7 +252,7 @@ def _cover(cells: int, pieces: Sequence[int], budget: int) -> Optional[list[int]
             raise CapExceededError(f"cover search exceeds {cap} nodes")
         if not cells:
             return []
-        if budget == 0:
+        if cells.bit_count() > budget * widest:
             return None
         low = cells & -cells
         for i, piece in enumerate(pieces):
@@ -268,9 +274,6 @@ def boolean_rank_at_most(m: BooleanMatrix, k: int) -> Optional[list[tuple[int, i
     if k < 0:
         raise PreconditionError("rank bound must be >= 0")
     _check_cells(m.nrows * m.ncols)
-    max_ones = current().rank_max_ones
-    if m.ones > max_ones:
-        raise CapExceededError(f"matrix has {m.ones} ones > cap {max_ones}")
     rects = _maximal_rectangles(m)
     pieces = [
         sum(cols << i * m.ncols for i in range(m.nrows) if rows >> i & 1)
@@ -310,9 +313,6 @@ def rel_prod_reducible2(
 # ---------------------------------------------------------------------------
 
 
-_MAX_BOXES = 2 * 10 ** 6  # (2^d - 1)^3 candidate boxes exceed it exactly when d >= 7
-
-
 def one_param_ternary_projoin(rel: Relation) -> Optional[ReductionCertificate]:
     """Exact one-parameter projoin decision for ternaries whose proper
     projections are all universal.
@@ -336,9 +336,9 @@ def one_param_ternary_projoin(rel: Relation) -> Optional[ReductionCertificate]:
             "the condensed one-parameter form need not capture all reductions",
             projection=list(combo),
         )
-    candidates = (2 ** d.size - 1) ** 3
-    if candidates > _MAX_BOXES:
-        raise CapExceededError(f"box enumeration of {candidates} boxes exceeds cap {_MAX_BOXES}")
+    candidates, cap = (2 ** d.size - 1) ** 3, current().max_search_nodes
+    if candidates > cap:
+        raise CapExceededError(f"box enumeration of {candidates} boxes exceeds cap {cap}")
     elems = sorted(d.elements)
     cells = list(itertools.product(elems, repeat=3))
     subsets = [

@@ -1,12 +1,13 @@
 """Enumeration caps.
 
 Everything in this library works by explicit enumeration of D^Sigma, so
-domain size and arity are capped to keep that enumerable, and so is the
-exhaustive cover search, by the nodes it visits.  The active caps
-live in one context variable: ``current()`` reads them, and ``with
-using(caps):`` sets them for a block and restores the previous value when
-the block ends, also when it raises.  Library calls run under ``Caps()``
-unless a caller sets others with ``using``.
+domain size and arity are capped to keep that enumerable.  One budget,
+``max_search_nodes``, bounds the time of every exhaustive search of the
+deciders, and ``rank_max_cells`` the Boolean-rank matrix, before it is
+built.  The active caps live in one context variable: ``current()`` reads
+them, and ``with using(caps):`` sets them for a block and restores the
+previous value when the block ends, also when it raises.  Library calls run
+under ``Caps()`` unless a caller sets others with ``using``.
 
 The CLI reads the RELRED_CAPS environment variable once per run, with
 ``from_env``, and runs the command under it.  The variable is a
@@ -32,8 +33,7 @@ class Caps:
     max_arity: int = 8                 # enumerated schemes (standard, complement)
     max_census_cells: int = 16         # census enumerates all 2^(d^n) relations when d^n <= this
     rank_max_cells: int = 65536        # Boolean-rank search refuses larger matrices
-    rank_max_ones: int = 24            # ... or denser ones
-    max_search_nodes: int = 1_000_000  # nodes one cover search (Boolean rank, boxes) may visit
+    max_search_nodes: int = 1_000_000  # box candidates, rectangle closure steps, cover nodes
 
 
 _ACTIVE: ContextVar[Caps] = ContextVar("relred_caps", default=Caps())

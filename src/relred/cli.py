@@ -4,8 +4,7 @@ Exit codes: 0 success, 2 parse error (including an input file that cannot
 be read or decoded), 3 precondition violated (including reducer refusals
 and an output path that cannot be written), 4 enumeration cap exceeded
 (including a domain over ``max_domain``), 5 verification failure.
-All outputs are deterministic; ``--threads`` is accepted for interface
-stability but evaluation is serial (results are independent of it).
+All outputs are deterministic.
 ``RELRED_CAPS`` is read once per run, and every cap check of the command
 reads those caps (``caps.using``) until the run ends.
 ``verify`` evaluates a bundle once: loading it builds the certificate,
@@ -102,10 +101,8 @@ def _emit(ctx, payload_json: str, payload_text: str):
 @click.group(cls=_Main)
 @click.option("--format", "fmt", type=click.Choice(["json", "text", "csv"]),
               default="text", help="output format")
-@click.option("--threads", type=int, default=1,
-              help="accepted for compatibility; execution is serial")
 @click.pass_context
-def main(ctx, fmt, threads):
+def main(ctx, fmt):
     """Attributed-relation algebra, reductions, and diagrams."""
     ctx.ensure_object(dict)
     ctx.obj["format"] = fmt

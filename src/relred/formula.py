@@ -489,7 +489,7 @@ def certificate_verdict(cert: ReductionCertificate, valid: bool) -> CertificateV
         arities = cls.factor_arities
     except Exception:
         cls, arities = None, ()
-    n = cert.target.arity
+    n = cert.target.arity if isinstance(cert.target, Relation) else 0
     is_reduction = bool(arities) and all(0 < a < n for a in arities)
     note = ""
     if valid and arities and not is_reduction:

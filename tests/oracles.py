@@ -179,14 +179,18 @@ def maximal_pieces(pieces):
 
 def maximal_rectangles(row_sets, ncols):
     """All maximal all-ones rectangles (row set, column set) of a 0-1
-    matrix given as one set of columns per row."""
-    rects = [
-        (rs, cs)
-        for rs in nonempty_subsets(range(len(row_sets)))
-        for cs in nonempty_subsets(range(ncols))
-        if all(cs <= row_sets[i] for i in rs)
-    ]
-    return maximal_pieces(rects)
+    matrix given as one set of columns per row.  An all-ones rectangle on
+    the rows rs has its columns among those rs share; it is maximal iff it
+    has all of them and no row outside rs has them all, since a larger
+    all-ones rectangle stays all ones with one of its extra rows or columns
+    added alone."""
+    rows = range(len(row_sets))
+    rects = set()
+    for rs in nonempty_subsets(rows):
+        cs = frozenset(range(ncols)).intersection(*(row_sets[i] for i in rs))
+        if cs and not any(i not in rs and cs <= row_sets[i] for i in rows):
+            rects.add((rs, cs))
+    return rects
 
 
 def maximal_boxes(rows, elems):

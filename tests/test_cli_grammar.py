@@ -90,8 +90,6 @@ def invocations(draw) -> list[str]:
     args = []
     if draw(st.booleans()):
         args += ["--format", draw(st.sampled_from(("json", "text", "csv")))]
-    if draw(st.integers(0, 3)) == 0:
-        args += ["--threads", draw(INTS)]
     command = draw(st.sampled_from(sorted(GRAMMAR)))
     positional, required, flags = GRAMMAR[command]
     args.append(command)

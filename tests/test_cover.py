@@ -15,6 +15,7 @@ from relred.analysis import (
     rel_prod_reducible2,
 )
 from relred.core import Domain, Relation, dump_relation, standard
+from relred.diagrams import ternarity_bounds
 from relred.errors import ReductionRefused
 from relred.formula import check_certificate, render
 
@@ -204,3 +205,61 @@ def test_pinned_one_param_overlapping_boxes():
         "@relation F2 over D(c,a,b)\n2 t1\na a\na c\nb a\nb b\nb c\nc a\nc c\n"
         "@relation F3 over D(c,a,b)\n3 t1\na a\na b\na c\nb a\nb b\nc a\nc b\n"
     )
+
+
+def _matrix_row_sets(rows, left, right, elems):
+    """The bipartition matrix of a relation on positions, one column set per
+    row, rows and columns indexed by value tuples in product order."""
+    index = {t: i for i, t in enumerate(itertools.product(elems, repeat=2))}
+    row_sets = [set() for _ in index]
+    for r in rows:
+        row_sets[index[tuple(r[p] for p in left)]].add(index[tuple(r[p] for p in right)])
+    return [frozenset(s) for s in row_sets], len(index)
+
+
+def _planted_union(rng, elems):
+    """A quaternary of more than 24 rows whose matrix over a random
+    bipartition is a union of at most three rectangles."""
+    pairs = list(itertools.product(elems, repeat=2))
+    left = (0, rng.randint(1, 3))
+    order = left + tuple(p for p in range(4) if p not in left)
+    rows = set()
+    while len(rows) <= 24:
+        rows = set()
+        for _ in range(rng.randint(1, 3)):
+            a, b = (rng.sample(pairs, rng.randint(2, 6)) for _ in "ab")
+            rows |= {tuple(v for _, v in sorted(zip(order, x + y)))
+                     for x, y in itertools.product(a, b)}
+    return rows
+
+
+def test_relprod2_and_ternarity_above_24_ones(d3):
+    # dense d=3 quaternaries, and planted unions of at most d rectangles:
+    # the Boolean-rank search decides them all against brute force, so the
+    # two-ternary oracle of ternarity_bounds never reports "skipped"
+    rng = random.Random(12)
+    elems = d3.elements
+    cells = list(itertools.product(elems, repeat=4))
+    inputs = [set(rng.sample(cells, rng.randint(25, 60))) for _ in range(12)]
+    inputs += [_planted_union(rng, elems) for _ in range(8)]
+    answers = []
+    for rows in inputs:
+        rel = Relation.make(d3, ("1", "2", "3", "4"), rows)
+        verdicts = []
+        for other in (1, 2, 3):
+            left = (0, other)
+            right = tuple(p for p in range(4) if p not in left)
+            row_sets, ncols = _matrix_row_sets(rows, left, right, elems)
+            ones = {(i, j) for i, cols in enumerate(row_sets) for j in cols}
+            rects = [cells_of(r) for r in maximal_rectangles(row_sets, ncols)]
+            cert = rel_prod_reducible2(rel, (str(left[0] + 1), str(other + 1)))
+            assert (cert is not None) == union_of_at_most(ones, rects, 3)
+            assert cert is None or check_certificate(cert).valid
+            verdicts.append(cert is not None)
+        evidence = ternarity_bounds(rel).evidence
+        assert all(e.get("verdict") != "skipped" for e in evidence)
+        oracle = [e["verdict"] for e in evidence if e["test"] == "two-ternary-oracle"]
+        assert oracle in ([], [any(verdicts)])
+        answers.append((any(verdicts), bool(oracle)))
+    assert {yes for yes, _ in answers} == {True, False}
+    assert sum(ran for _, ran in answers) >= 12

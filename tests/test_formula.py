@@ -183,12 +183,13 @@ def test_check_certificate_never_raises(d2):
         target, parse("I2(x1,x2) & I2(x2,x3)"), {"I2": i2},
         {"x1": "1", "x2": "2", "x3": "3"},
     )
-    tampered = ReductionCertificate.__new__(ReductionCertificate)
-    object.__setattr__(tampered, "target", standard("universal", 3, d2))
-    object.__setattr__(tampered, "formula", cert.formula)
-    object.__setattr__(tampered, "env", cert.env)
-    object.__setattr__(tampered, "var_map", cert.var_map)
-    assert not check_certificate(tampered).valid
+    for target in (standard("universal", 3, d2), None):
+        tampered = ReductionCertificate.__new__(ReductionCertificate)
+        object.__setattr__(tampered, "target", target)
+        object.__setattr__(tampered, "formula", cert.formula)
+        object.__setattr__(tampered, "env", cert.env)
+        object.__setattr__(tampered, "var_map", cert.var_map)
+        assert not check_certificate(tampered).valid
 
 
 def test_certificate_bundle_roundtrip(tmp_path, d2):
