@@ -19,8 +19,13 @@ box decider (ternary projoins) share one bitmask cover search, ``_cover``:
 is the relation a union of at most d maximal all-ones rectangles, or boxes?
 A cover found becomes a one-parameter certificate through the labeled-union
 builder of ``reducers``: each rectangle or box gets its own parameter value.
+The box decider reads the census's cylinder kernel: its cells are the bits
+of ``_CensusSpace(d, 3)``, and each cylinder is a shift of an axis mask.
 One budget, ``max_search_nodes``, bounds the time of both deciders: it caps
 the candidate boxes, the rectangle closure's AND steps and the cover nodes.
+
+The join decider's certificate is its test: building the certificate over
+the (n-1)-projections joins them once, and a "no" fails its verification.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .errors import (
     CapExceededError,
     PreconditionError,
     ReductionRefused,
+    VerificationError,
 )
 from .formula import ReductionCertificate
 from .reducers import _certificate, _labeled_union
@@ -113,14 +119,18 @@ def is_join_reducible(rel: Relation) -> Optional[ReductionCertificate]:
     """Exact decision via the canonical test: R is join reducible iff it
     equals the join of all its (n-1)-ary projections.  (Any join
     decomposition can be coarsened to that cover by enlarging factors,
-    and factors may be replaced by projections.)"""
+    and factors may be replaced by projections.)  The certificate over
+    those projections is the test: building it joins them once, and it
+    fails to verify exactly when R is not join reducible.  The join
+    always contains R, so a "no" is refused on its row count."""
     if rel.arity < 2:
         raise PreconditionError("join reducibility needs arity >= 2")
     factors = [core.project(rel, rel.scheme - {i}) for i in rel.attrs]
-    if not core.equal_relations(core.join(factors), rel):
-        return None
     env = {f"F{j}": factor for j, factor in enumerate(factors, start=1)}
-    return _certificate(rel, env, {})
+    try:
+        return _certificate(rel, env, {})
+    except VerificationError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -322,8 +332,14 @@ def one_param_ternary_projoin(rel: Relation) -> Optional[ReductionCertificate]:
     be a union of at most d unary-product boxes.  Without the hypothesis
     a negative answer would not be conclusive, so we refuse.
 
-    Cell i of D^3 in sorted order is bit i; a box A x B x C is the AND of
-    three cylinders (cells whose k-th value lies in a given subset).
+    Cell i of D^3 in sorted order is bit i, as in ``_CensusSpace(d, 3)``,
+    whose axes give the cylinder of value v on coordinate k (cells whose
+    k-th value is v) as ``zero << v*s_k``; the cylinder of a subset is the
+    OR of its values', one OR from the subset without its lowest element,
+    and a box A x B x C is the AND of three cylinders.  Every maximal box
+    has C = C_max(A, B) = {v : A x B x {v} inside R}, so only the boxes
+    (A, B, C_max) are candidates, found with d tests per pair (A, B):
+    (2^d-1)^2 * d tests where all boxes would take (2^d-1)^3.
     """
     if rel.arity != 3:
         raise PreconditionError("one-parameter box decision is for ternaries")
@@ -340,24 +356,29 @@ def one_param_ternary_projoin(rel: Relation) -> Optional[ReductionCertificate]:
     if candidates > cap:
         raise CapExceededError(f"box enumeration of {candidates} boxes exceeds cap {cap}")
     elems = sorted(d.elements)
-    cells = list(itertools.product(elems, repeat=3))
-    subsets = [
-        tuple(e for i, e in enumerate(elems) if chosen >> i & 1)
-        for chosen in range(1, 2 ** d.size)
-    ]
-    cyl = [
-        [sum(1 << i for i, c in enumerate(cells) if c[k] in s) for s in subsets]
-        for k in range(3)
-    ]
-    target = sum(1 << i for i, c in enumerate(cells) if c in rel.rows)
+    index = {e: i for i, e in enumerate(elems)}
+    # subset cylinders indexed by the subset's bitmask; 0 is the empty set
+    subsets = [tuple(e for i, e in enumerate(elems) if chosen >> i & 1)
+               for chosen in range(2 ** d.size)]
+    single = [[zero] + [zero << shift for shift in shifts]
+              for shifts, zero in _CensusSpace(d.size, 3).axes]
+    cyl = []
+    for values in single:
+        row = [0]
+        for chosen in range(1, 2 ** d.size):
+            low = (chosen & -chosen).bit_length() - 1
+            row.append(row[chosen & (chosen - 1)] | values[low])
+        cyl.append(row)
+    target = sum(1 << (index[x] * d.size + index[y]) * d.size + index[z]
+                 for x, y, z in rel.rows)
     outside = ~target
     boxes = []
-    for a, cyl_a in enumerate(cyl[0]):
-        for b, cyl_b in enumerate(cyl[1]):
-            ab = cyl_a & cyl_b
-            for c, cyl_c in enumerate(cyl[2]):
-                if not ab & cyl_c & outside:
-                    boxes.append((ab & cyl_c, (subsets[a], subsets[b], subsets[c])))
+    for a in range(1, 2 ** d.size):
+        for b in range(1, 2 ** d.size):
+            ab = cyl[0][a] & cyl[1][b]
+            c = sum(1 << v for v, cyl_v in enumerate(single[2]) if not ab & cyl_v & outside)
+            if c:
+                boxes.append((ab & cyl[2][c], (subsets[a], subsets[b], subsets[c])))
     # largest first: a box inside another lies inside a maximal one, kept earlier
     boxes.sort(key=lambda box: -box[0].bit_count())
     maximal: list[tuple[int, tuple]] = []

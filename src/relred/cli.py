@@ -91,11 +91,10 @@ def _parse_blocks(text: str) -> list[list[str]]:
     return [_parse_attr_list(b) for b in text.split("|")]
 
 
-def _emit(ctx, payload_json: str, payload_text: str):
-    if ctx.obj["format"] == "json":
-        _echo(payload_json)
-    else:
-        _echo(payload_text)
+def _emit(ctx, to_json, to_text):
+    """Print the JSON payload under ``--format json`` and the text one
+    otherwise; each is a function, and only the one printed is called."""
+    _echo(to_json() if ctx.obj["format"] == "json" else to_text())
 
 
 @click.group(cls=_Main)
@@ -146,24 +145,24 @@ def deps_cmd(ctx, rel_file, fd, keys_k, mvd, admits):
         report = dependencies.functional_dep(
             rel, _parse_attr_list(lhs), _parse_attr_list(rhs)
         )
-        _emit(ctx, report.to_json(), report.to_text())
+        _emit(ctx, report.to_json, report.to_text)
     elif keys_k is not None:
         keys = dependencies.find_keys(rel, keys_k)
         _emit(
             ctx,
-            json.dumps([list(k) for k in keys]),
-            "\n".join(",".join(k) for k in keys) or "(none)",
+            lambda: json.dumps([list(k) for k in keys]),
+            lambda: "\n".join(",".join(k) for k in keys) or "(none)",
         )
     elif mvd is not None:
         m, _, blocks = mvd.partition(":")
         report = dependencies.mvd_holds(
             rel, _parse_attr_list(m), _parse_blocks(blocks)
         )
-        _emit(ctx, report.to_json(), report.to_text())
+        _emit(ctx, report.to_json, report.to_text)
     elif admits is not None:
         ok = dependencies.admits_key(rel, admits)
-        _emit(ctx, json.dumps({"admits": ok, "k": admits}),
-              f"admits {admits}-key: {'yes' if ok else 'no'}")
+        _emit(ctx, lambda: json.dumps({"admits": ok, "k": admits}),
+              lambda: f"admits {admits}-key: {'yes' if ok else 'no'}")
     else:
         raise PreconditionError("pick one of --fd, --keys, --mvd, --admits")
 
@@ -252,8 +251,8 @@ def diagram_cmd(ctx, source, dot_out, stats):
         _echo(text, nl=False)
     if stats:
         st = diagrams.bond_graph_stats(dg)
-        _emit(ctx, st.to_json(),
-              f"V={st.V} E={st.E} C={st.C} K={st.K} I={st.I} II={st.II} III={st.III}")
+        _emit(ctx, st.to_json,
+              lambda: f"V={st.V} E={st.E} C={st.C} K={st.K} I={st.I} II={st.II} III={st.III}")
 
 
 @main.command("ternarity")
@@ -266,8 +265,8 @@ def ternarity_cmd(ctx, rel_file, certs):
     loaded = [_load_cert(c) for c in certs]
     report = diagrams.ternarity_bounds(rel, loaded)
     hi = "inf" if report.upper is None else report.upper
-    _emit(ctx, report.to_json(),
-          f"ter in [{report.lower}, {hi}] (arity {report.arity})")
+    _emit(ctx, report.to_json,
+          lambda: f"ter in [{report.lower}, {hi}] (arity {report.arity})")
 
 
 @main.command("analyze")
@@ -287,34 +286,34 @@ def analyze_cmd(ctx, rel_file, which, relprod2, out):
     if relprod2 is not None:
         cert = analysis.rel_prod_reducible2(rel, _parse_attr_list(relprod2))
         if cert is None:
-            _emit(ctx, json.dumps({"reducible": False}), "relprod2: no")
+            _emit(ctx, lambda: json.dumps({"reducible": False}), lambda: "relprod2: no")
         else:
             if out:
                 formula.save_certificate(cert, out)
-            _emit(ctx, json.dumps({"reducible": True}), "relprod2: yes")
+            _emit(ctx, lambda: json.dumps({"reducible": True}), lambda: "relprod2: yes")
     elif which == "degenerate":
         witness = analysis.is_degenerate(rel)
-        payload = {"degenerate": witness is not None,
-                   "witness": [list(b) for b in witness] if witness else None}
-        _emit(ctx, json.dumps(payload),
-              "degenerate: " + ("|".join(",".join(b) for b in witness)
-                                 if witness else "no"))
+        _emit(ctx,
+              lambda: json.dumps({"degenerate": witness is not None,
+                                  "witness": [list(b) for b in witness] if witness else None}),
+              lambda: "degenerate: " + ("|".join(",".join(b) for b in witness)
+                                         if witness else "no"))
     elif which == "join-reducible":
         cert = analysis.is_join_reducible(rel)
         if cert is not None and out:
             formula.save_certificate(cert, out)
-        _emit(ctx, json.dumps({"join_reducible": cert is not None}),
-              "join reducible: " + ("yes" if cert is not None else "no"))
+        _emit(ctx, lambda: json.dumps({"join_reducible": cert is not None}),
+              lambda: "join reducible: " + ("yes" if cert is not None else "no"))
     elif which == "one-param":
         cert = analysis.one_param_ternary_projoin(rel)
         if cert is not None and out:
             formula.save_certificate(cert, out)
-        _emit(ctx, json.dumps({"one_param_reducible": cert is not None}),
-              "one-parameter projoin: " + ("yes" if cert is not None else "no"))
+        _emit(ctx, lambda: json.dumps({"one_param_reducible": cert is not None}),
+              lambda: "one-parameter projoin: " + ("yes" if cert is not None else "no"))
     elif which == "oracle-suite":
         evidence = analysis.ternary_oracle_suite(rel)
-        _emit(ctx, json.dumps(evidence),
-              "\n".join(json.dumps(e) for e in evidence))
+        _emit(ctx, lambda: json.dumps(evidence),
+              lambda: "\n".join(json.dumps(e) for e in evidence))
     else:
         raise PreconditionError(
             "pick one of --degenerate, --join-reducible, --relprod2, "
@@ -354,9 +353,9 @@ def verify_cmd(ctx, cert_file):
         sys.exit(EXIT_VERIFY)
     # loading verified the bundle by evaluation, so it is not evaluated again
     verdict = formula.certificate_verdict(cert, valid=True)
-    _emit(ctx, verdict.to_json(),
-          f"valid kind={verdict.classification.kind if verdict.classification else '?'}"
-          f" factors={list(verdict.factor_arities)}")
+    _emit(ctx, verdict.to_json,
+          lambda: f"valid kind={verdict.classification.kind if verdict.classification else '?'}"
+                  f" factors={list(verdict.factor_arities)}")
 
 
 if __name__ == "__main__":

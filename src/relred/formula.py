@@ -434,17 +434,26 @@ class ReductionCertificate:
             raise VerificationError("var_map values do not match target scheme")
         if len(set(self.var_map.values())) != len(self.var_map):
             raise VerificationError("var_map is not a bijection")
-        got = self.evaluated()
-        if not core.equal_relations(got, self.target):
-            raise VerificationError("certificate formula does not evaluate to the target")
+        self.verify()
 
-    def evaluated(self) -> Relation:
+    def verify(self) -> None:
+        """Raise unless the formula evaluates to the target.  The checks
+        run in this order: a closed formula for a non-0-ary target, a value
+        over another domain (``DomainMismatchError``), a row count other
+        than the target's -- refused before the value is renamed -- and
+        the renamed value itself."""
         value = evaluate(self.formula, self.env)
+        if not value.attrs and self.target.attrs:
+            raise VerificationError("closed formula cannot certify a non-0-ary target")
+        if value.domain == self.target.domain and len(value) != len(self.target):
+            raise VerificationError(_NOT_TARGET)
         if value.attrs:
             value = core.rename(value, self.var_map)
-        elif self.target.attrs:
-            raise VerificationError("closed formula cannot certify a non-0-ary target")
-        return value
+        if not core.equal_relations(value, self.target):
+            raise VerificationError(_NOT_TARGET)
+
+
+_NOT_TARGET = "certificate formula does not evaluate to the target"
 
 
 @dataclass(frozen=True)
@@ -475,7 +484,8 @@ def check_certificate(cert: ReductionCertificate) -> CertificateVerdict:
     """Re-evaluate a certificate and report its shape.  Never raises:
     a tampered certificate yields ``valid=False``."""
     try:
-        valid = core.equal_relations(cert.evaluated(), cert.target)
+        cert.verify()
+        valid = True
     except Exception:
         valid = False
     return certificate_verdict(cert, valid)

@@ -94,8 +94,10 @@ def join_cover_reducible(rows, elems, n):
     subsets = []
     for r in range(1, n):
         subsets.extend(itertools.combinations(range(n), r))
-    cyls = {s: cylinder(rows, s, cells) for s in subsets}
-    rowset = set(rows)
+    # cell sets as bitmasks over ``cells``, so a family's join is a few ANDs
+    bit = {c: 1 << i for i, c in enumerate(cells)}
+    cyls = {s: sum(bit[c] for c in cylinder(rows, s, cells)) for s in subsets}
+    target = sum(bit[c] for c in set(rows))
     for size in range(1, len(subsets) + 1):
         for family in itertools.combinations(subsets, size):
             covered = set()
@@ -103,10 +105,10 @@ def join_cover_reducible(rows, elems, n):
                 covered.update(s)
             if covered != set(range(n)):
                 continue
-            joined = set(cells)
+            joined = (1 << len(cells)) - 1
             for s in family:
                 joined &= cyls[s]
-            if joined == rowset:
+            if joined == target:
                 return True
     return False
 
@@ -168,15 +170,6 @@ def nonempty_subsets(items):
     ]
 
 
-def maximal_pieces(pieces):
-    """The pieces not strictly inside another, for pieces given as tuples
-    of sets compared coordinatewise."""
-    return {
-        p for p in pieces
-        if not any(p != q and all(a <= b for a, b in zip(p, q)) for q in pieces)
-    }
-
-
 def maximal_rectangles(row_sets, ncols):
     """All maximal all-ones rectangles (row set, column set) of a 0-1
     matrix given as one set of columns per row.  An all-ones rectangle on
@@ -194,16 +187,22 @@ def maximal_rectangles(row_sets, ncols):
 
 
 def maximal_boxes(rows, elems):
-    """All maximal boxes A x B x C inside a ternary relation."""
+    """All maximal boxes A x B x C inside a ternary relation.  A box inside
+    it is maximal iff no side takes one more value with the box staying
+    inside: a larger box inside the relation holds such an extension."""
     subsets = nonempty_subsets(elems)
-    boxes = [
+    boxes = {
         (a, b, c)
         for a in subsets
         for b in subsets
         for c in subsets
         if all(t in rows for t in itertools.product(a, b, c))
-    ]
-    return maximal_pieces(boxes)
+    }
+    return {
+        box for box in boxes
+        if not any(box[:k] + (box[k] | {v},) + box[k + 1:] in boxes
+                   for k in range(3) for v in elems if v not in box[k])
+    }
 
 
 def cells_of(piece):

@@ -17,7 +17,7 @@ from relred.analysis import (
     ternary_oracle_suite,
 )
 from relred.caps import Caps, using
-from relred.core import Relation, cartesian, complement, standard
+from relred.core import Relation, cartesian, complement, join, project, standard
 from relred.errors import CapExceededError
 from relred.formula import check_certificate, classify
 
@@ -164,7 +164,7 @@ def test_census_sampled_at_the_caps_builds_the_space(no_census_space):
             census_sampled(2, 3, 1)
 
 
-def test_join_reducibility_matches_cover_search_sample(d2):
+def test_join_reducibility_matches_cover_search_sample(d2, d3):
     rng = random.Random(3)
     cells = list(itertools.product(d2.elements, repeat=3))
     for _ in range(40):
@@ -172,6 +172,25 @@ def test_join_reducibility_matches_cover_search_sample(d2):
         r = make_rel(d2, 3, rows)
         got = is_join_reducible(r) is not None
         assert got == join_cover_reducible(rows, d2.elements, 3)
+    cells = list(itertools.product(d3.elements, repeat=4))
+    verdicts = []
+    for _ in range(20):
+        rows = rng.sample(cells, rng.randrange(0, 40))
+        cert = is_join_reducible(make_rel(d3, 4, rows))
+        assert (cert is not None) == join_cover_reducible(rows, d3.elements, 4)
+        assert cert is None or check_certificate(cert).valid
+        verdicts.append(cert is not None)
+    assert verdicts.count(True) and verdicts.count(False)
+
+
+def test_join_irreducible_when_the_join_is_larger(d2):
+    # even parity: every 2-projection is all of D^2, so the join of the
+    # projections is D^3, twice the relation; the answer is None, not an error
+    even = make_rel(d2, 3, [r for r in itertools.product(d2.elements, repeat=3)
+                            if r.count("b") % 2 == 0])
+    factors = [project(even, even.scheme - {a}) for a in even.attrs]
+    assert len(join(factors)) == 2 * len(even)
+    assert is_join_reducible(even) is None
 
 
 def test_oracle_suite_identity(d2):

@@ -132,6 +132,20 @@ def test_tampered_certificate_exit_5(runner, workdir):
     assert res.stderr == "invalid: certificate formula does not evaluate to the target\n"
 
 
+def test_verify_target_over_another_domain_exit_3(runner, workdir):
+    # a target over another domain is a domain mismatch (exit 3) even when
+    # its row count differs too: the domain is checked before the size
+    assert run(runner, workdir, "reduce", "I4.rel", "--key", "1",
+               "-o", "cd").exit_code == 0
+    other = Domain("E", ("a", "b", "c"))
+    target = workdir / "cd" / "target.rel"
+    target.write_text(dump_relation(standard("identity", 4, other), "target")
+                      .replace("c c c c\n", ""))
+    res = run(runner, workdir, "verify", "cd")
+    assert res.exit_code == 3 and res.stdout == ""
+    assert res.stderr == "error: cannot compare relations over different domains\n"
+
+
 def test_verify_evaluates_once(runner, workdir, monkeypatch):
     # loading the bundle verifies it by evaluation; the verdict reuses that
     assert run(runner, workdir, "reduce", "I4.rel", "--hypostatic", "1",

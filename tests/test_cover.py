@@ -118,25 +118,41 @@ def test_one_param_matches_brute_force_cover_d2(d2):
     assert verdicts.count(True) and verdicts.count(False)
 
 
-def test_one_param_matches_brute_force_cover_d3():
-    rng = random.Random(4)
-    dom = Domain("D", ("c", "a", "b"))
+def _seeded_ternaries(rng, dom, count):
+    """``count`` ternaries with universal projections: unions of up to
+    d + 1 random boxes, some with the cyclic Latin square added."""
     elems = dom.elements
-    verdicts = []
-    while len(verdicts) < 25:
+    while count:
         rows = set()
-        for _ in range(rng.randint(1, 4)):
+        for _ in range(rng.randint(1, len(elems) + 1)):
             rows |= set(itertools.product(
                 *([e for e in elems if rng.random() < 0.6] or [rng.choice(elems)]
                   for _ in range(3))
             ))
         if rng.random() < 0.3:
-            rows |= {(x, y, elems[(i + j) % 3])
+            rows |= {(x, y, elems[(i + j) % len(elems)])
                      for i, x in enumerate(elems) for j, y in enumerate(elems)}
-        if not _universal_projections(rows, elems):
-            continue
-        verdicts.append(_check_one_param(Relation.make(dom, ("1", "2", "3"), rows)))
+        if _universal_projections(rows, elems):
+            count -= 1
+            yield Relation.make(dom, ("1", "2", "3"), rows)
+
+
+def test_one_param_matches_brute_force_cover_d3():
+    dom = Domain("D", ("c", "a", "b"))
+    verdicts = [_check_one_param(r) for r in _seeded_ternaries(random.Random(4), dom, 25)]
     assert verdicts.count(True) and verdicts.count(False)
+
+
+def test_one_param_matches_brute_force_cover_d1_d4_d5():
+    # both relations over one element, then seeded d=4 and d=5 ternaries
+    one = Domain("D", ("a",))
+    verdicts = [_check_one_param(Relation.make(one, ("1", "2", "3"), rows))
+                for rows in ([], [("a", "a", "a")])]
+    assert verdicts == [None, True]
+    for elems, count in ((("c", "a", "d", "b"), 12), (("c", "a", "e", "d", "b"), 3)):
+        verdicts = [_check_one_param(r)
+                    for r in _seeded_ternaries(random.Random(1), Domain("D", elems), count)]
+        assert verdicts.count(True) and verdicts.count(False)
 
 
 def _cert_text(cert):
@@ -204,6 +220,26 @@ def test_pinned_one_param_overlapping_boxes():
         "@relation F1 over D(c,a,b)\n1 t1\na a\na b\na c\nb b\nb c\nc a\nc b\nc c\n"
         "@relation F2 over D(c,a,b)\n2 t1\na a\na c\nb a\nb b\nb c\nc a\nc c\n"
         "@relation F3 over D(c,a,b)\n3 t1\na a\na b\na c\nb a\nb b\nc a\nc b\n"
+    )
+
+
+def test_pinned_one_param_d4():
+    # four overlapping boxes over D displayed c, a, d, b: 11 maximal boxes,
+    # and the cover takes four of them
+    dom = Domain("D", ("c", "a", "d", "b"))
+    D = dom.elements
+    P = itertools.product
+    rows = (set(P("ab", "abc", D)) | set(P(D, "bd", "acd")) | set(P("cd", D, "ab"))
+            | set(P("bc", "ac", "bc")))
+    cert = one_param_ternary_projoin(Relation.make(dom, ("1", "2", "3"), rows))
+    assert _cert_text(cert) == (
+        "exists t1 . F1(x1,t1) & F2(x2,t1) & F3(x3,t1)\n"
+        "@relation F1 over D(c,a,d,b)\n1 t1\n"
+        "a a\na c\na d\nb a\nb c\nb d\nc a\nc b\nc d\nd b\nd d\n"
+        "@relation F2 over D(c,a,d,b)\n2 t1\n"
+        "a a\na b\na c\nb a\nb b\nb c\nb d\nc a\nc b\nc c\nd a\nd b\nd d\n"
+        "@relation F3 over D(c,a,d,b)\n3 t1\n"
+        "a a\na b\na c\na d\nb b\nb c\nc a\nc c\nc d\nd c\nd d\n"
     )
 
 

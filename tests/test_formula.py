@@ -192,6 +192,20 @@ def test_check_certificate_never_raises(d2):
         assert not check_certificate(tampered).valid
 
 
+def test_verify_refuses_a_closed_formula_before_the_row_count(d2):
+    # the closed formula's value, TRUE, has one row and the target two, but
+    # the closed-formula error comes first
+    cert = ReductionCertificate.__new__(ReductionCertificate)
+    object.__setattr__(cert, "target", standard("identity", 2, d2))
+    object.__setattr__(cert, "formula", parse("exists y . U(y)"))
+    object.__setattr__(cert, "env", {"U": standard("universal", 1, d2)})
+    object.__setattr__(cert, "var_map", {})
+    with pytest.raises(VerificationError,
+                       match="^closed formula cannot certify a non-0-ary target$"):
+        cert.verify()
+    assert not check_certificate(cert).valid
+
+
 def test_certificate_bundle_roundtrip(tmp_path, d2):
     i2 = standard("identity", 2, d2)
     target = standard("identity", 3, d2)
