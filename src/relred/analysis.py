@@ -2,7 +2,7 @@
 
 Everything here is exact: degeneracy and join reducibility are decided by
 the cardinality/projection tests that characterize them, and censuses by
-full enumeration (with an explicit sampled fallback above the cap).
+enumerating at most ``max_search_nodes`` relations (or by sampling them).
 
 Degeneracy, the finest factorization and the universality hypotheses read
 one ``core.projection_sizes`` table: R is a product over a bipartition (A, B)
@@ -561,28 +561,42 @@ class _CensusSpace:
         return False
 
 
-def _check_census_range(d: int, n: int) -> None:
+def _check_census(d: int, n: int) -> None:
+    """Both censuses' one check before D^n is built: range, then caps."""
     if d < 1 or n < 1:
         raise PreconditionError(f"census needs d >= 1 and n >= 1, got d={d}, n={n}")
+    caps = current()
+    if d > caps.max_domain or n > caps.max_arity:
+        raise CapExceededError(
+            f"census over d={d}, n={n} exceeds caps "
+            f"max_domain={caps.max_domain}, max_arity={caps.max_arity}"
+        )
+
+
+def _classify_all(space: _CensusSpace, masks: Iterable[int]) -> tuple[int, int]:
+    """How many of ``masks`` are degenerate, and how many join reducible."""
+    deg = jred = 0
+    for mask in masks:
+        is_deg, is_jred = space.classify(mask)
+        deg += is_deg
+        jred += is_jred
+    return deg, jred
 
 
 def census(d: int, n: int) -> CensusRow:
     """Exact census of all 2^(d^n) n-ary relations on a d-element domain:
     how many are degenerate, how many join reducible, against the crude
-    counting bounds."""
-    _check_census_range(d, n)
-    caps = current()
-    if d ** n > caps.max_census_cells:
+    counting bounds.  The 2^(d^n) masks count against ``max_search_nodes``."""
+    _check_census(d, n)
+    cap = current().max_search_nodes
+    bits = max(cap, 0).bit_length()  # 2^(d^n) <= cap iff d^n < bits
+    if d ** min(n, bits) >= bits:  # the exponent is capped: n may be huge
         raise CapExceededError(
-            f"d^n = {d ** n} exceeds census cap {caps.max_census_cells}; "
+            f"census of 2^({d}^{n}) relations exceeds cap {cap}; "
             "use census_sampled instead"
         )
     space = _CensusSpace(d, n)
-    deg = jred = 0
-    for mask in range(2 ** space.ncells):
-        is_deg, is_jred = space.classify(mask)
-        deg += is_deg
-        jred += is_jred
+    deg, jred = _classify_all(space, range(2 ** space.ncells))
     bound_ndeg, bound_njred = _census_bounds(d, n)
     assert deg <= bound_ndeg, "degenerate count exceeds its counting bound"
     assert jred <= bound_njred, "join-reducible count exceeds its counting bound"
@@ -592,29 +606,15 @@ def census(d: int, n: int) -> CensusRow:
 
 def census_sampled(d: int, n: int, samples: int, seed: int = 0) -> CensusRow:
     """Sampled census: counts over `samples` uniformly drawn relation
-    bitmasks.  Counts are per-sample, not extrapolated.  Each mask has d^n
-    bits, so d and n are held to the domain and arity caps first."""
-    _check_census_range(d, n)
+    bitmasks.  Counts are per-sample, not extrapolated."""
     if samples < 0:
         raise PreconditionError(f"sampled census needs samples >= 0, got {samples}")
-    caps = current()
-    if d > caps.max_domain or n > caps.max_arity:
-        raise CapExceededError(
-            f"sampled census over d={d}, n={n} exceeds caps "
-            f"max_domain={caps.max_domain}, max_arity={caps.max_arity}"
-        )
+    _check_census(d, n)
     space = _CensusSpace(d, n)
     rng = random.Random(seed)
-    deg = jred = 0
-    for _ in range(samples):
-        is_deg, is_jred = space.classify(rng.getrandbits(space.ncells))
-        deg += is_deg
-        jred += is_jred
-    bound_ndeg, bound_njred = _census_bounds(d, n)
-    return CensusRow(
-        d, n, 2 ** space.ncells, deg, jred, bound_ndeg, bound_njred,
-        mode="sampled", samples=samples,
-    )
+    deg, jred = _classify_all(space, (rng.getrandbits(space.ncells) for _ in range(samples)))
+    return CensusRow(d, n, 2 ** space.ncells, deg, jred, *_census_bounds(d, n),
+                     mode="sampled", samples=samples)
 
 
 # ---------------------------------------------------------------------------

@@ -439,13 +439,12 @@ class ReductionCertificate:
     def verify(self) -> None:
         """Raise unless the formula evaluates to the target.  The checks
         run in this order: a closed formula for a non-0-ary target, a value
-        over another domain (``DomainMismatchError``), a row count other
-        than the target's -- refused before the value is renamed -- and
-        the renamed value itself."""
+        over another domain or with another row count -- refused before the
+        value is renamed -- and the renamed value itself."""
         value = evaluate(self.formula, self.env)
         if not value.attrs and self.target.attrs:
             raise VerificationError("closed formula cannot certify a non-0-ary target")
-        if value.domain == self.target.domain and len(value) != len(self.target):
+        if value.domain != self.target.domain or len(value) != len(self.target):
             raise VerificationError(_NOT_TARGET)
         if value.attrs:
             value = core.rename(value, self.var_map)

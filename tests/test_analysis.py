@@ -149,13 +149,32 @@ def test_census_sampled_deterministic():
     assert a.degenerate <= a.join_reducible <= a.samples
 
 
+@pytest.mark.parametrize("run", [census, lambda d, n: census_sampled(d, n, 1)],
+                         ids=["exact", "sampled"])
 @pytest.mark.parametrize("d,n,caps", [
     (40, 40, Caps()), (9, 2, Caps()), (2, 9, Caps()),
-    (3, 2, Caps(max_domain=2)), (2, 3, Caps(max_arity=2)),
+    (3, 2, Caps(max_domain=2)), (2, 3, Caps(max_arity=2)), (9, 1, Caps()), (1, 9, Caps()),
 ])
-def test_census_sampled_caps_before_allocating(no_census_space, d, n, caps):
+def test_census_caps_before_allocating(no_census_space, d, n, caps, run):
+    # both censuses pass the same check before D^n is built
     with using(caps), pytest.raises(CapExceededError, match="max_domain"):
-        census_sampled(d, n, 1)
+        run(d, n)
+
+
+def test_census_search_budget_boundary():
+    # the exact census of D^3 on two elements tests 2^(2^3) = 256 masks
+    with using(Caps(max_search_nodes=255)), pytest.raises(
+            CapExceededError, match=r"^census of 2\^\(2\^3\) relations exceeds cap 255;"):
+        census(2, 3)
+    with using(Caps(max_search_nodes=256)):
+        row = census(2, 3)
+    assert (row.total, row.degenerate, row.join_reducible) == (256, 82, 166)
+
+
+def test_census_budget_refusal_names_d_and_n(no_census_space):
+    # not the 4,772 digits of 3^10000, past the interpreter's str limit
+    with using(Caps(max_arity=10000)), pytest.raises(CapExceededError, match=r"2\^\(3\^10000\)"):
+        census(3, 10000)
 
 
 def test_census_sampled_at_the_caps_builds_the_space(no_census_space):

@@ -132,9 +132,9 @@ def test_tampered_certificate_exit_5(runner, workdir):
     assert res.stderr == "invalid: certificate formula does not evaluate to the target\n"
 
 
-def test_verify_target_over_another_domain_exit_3(runner, workdir):
-    # a target over another domain is a domain mismatch (exit 3) even when
-    # its row count differs too: the domain is checked before the size
+def test_verify_target_over_another_domain_exit_5(runner, workdir):
+    # a target over another domain is one more target the formula does not
+    # evaluate to, whatever its row count
     assert run(runner, workdir, "reduce", "I4.rel", "--key", "1",
                "-o", "cd").exit_code == 0
     other = Domain("E", ("a", "b", "c"))
@@ -142,8 +142,8 @@ def test_verify_target_over_another_domain_exit_3(runner, workdir):
     target.write_text(dump_relation(standard("identity", 4, other), "target")
                       .replace("c c c c\n", ""))
     res = run(runner, workdir, "verify", "cd")
-    assert res.exit_code == 3 and res.stdout == ""
-    assert res.stderr == "error: cannot compare relations over different domains\n"
+    assert res.exit_code == 5 and res.stdout == ""
+    assert res.stderr == "invalid: certificate formula does not evaluate to the target\n"
 
 
 def test_verify_evaluates_once(runner, workdir, monkeypatch):
@@ -367,6 +367,13 @@ def test_census_sampled_over_caps_exit_4(runner, workdir, no_census_space):
     assert res.output.startswith("cap exceeded:") and res.output.count("\n") == 1
 
 
+@pytest.mark.parametrize("d,n", [("3", "10000"), ("1", "40")])
+def test_census_over_caps_exit_4(runner, workdir, no_census_space, d, n):
+    res = run(runner, workdir, "census", "--d", d, "--n", n)
+    assert res.exit_code == 4 and res.stdout == ""
+    assert res.stderr.startswith("cap exceeded:") and res.stderr.count("\n") == 1
+
+
 def test_census_negative_sample_exit_3(runner, workdir):
     res = run(runner, workdir, "census", "--d", "2", "--n", "2", "--sample", "-3")
     assert res.exit_code == 3
@@ -432,9 +439,10 @@ def _with_caps(spec, *args):
                           capture_output=True, text=True, timeout=60)
 
 
-# rank_max_ones was a density cap of the Boolean-rank search; the search
-# budget bounds it now, and the name is unknown
-@pytest.mark.parametrize("spec", ["bogus=1", "max_arity=x", "max_arity", "rank_max_ones=24"])
+# rank_max_ones (a density cap of the Boolean-rank search) and the exact
+# census's cell cap are gone: the search budget bounds both loops now
+@pytest.mark.parametrize("spec", ["bogus=1", "max_arity=x", "max_arity", "rank_max_ones=24",
+                                  "max_census_cells=16"])
 def test_bad_caps_env_exit_2(spec):
     res = _with_caps(spec, "-m", "relred.cli", "census", "--d", "2", "--n", "2")
     assert res.returncode == 2 and res.stdout == ""
