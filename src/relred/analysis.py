@@ -2,17 +2,20 @@
 
 Everything here is exact: degeneracy and join reducibility are decided by
 the cardinality/projection tests that characterize them, and censuses by
-enumerating at most ``max_search_nodes`` relations (or by sampling them).
+testing at most ``max_search_nodes`` relations, every one or a sample.
 
 Degeneracy, the finest factorization and the universality hypotheses read
 one ``core.projection_sizes`` table: R is a product over a bipartition (A, B)
 iff |pi_A| * |pi_B| = |R|, and pi_X is universal iff it has d^|X| rows.
 
-The census tests each relation as one bitmask over the d^n cells of D^n:
-projections and cylinders are a few whole-mask shifts per coordinate, R is
-join reducible iff the AND of the cylinders of its (n-1)-projections is R,
-and degenerate iff the popcounts of two complementary projections multiply
-to |R| (see ``_CensusSpace``).
+The census tests relations by cylinder equality on packed fields: each
+relation is a bitmask over the d^n cells of D^n, a batch packs many masks
+side by side in one int, one guarded field each, and a projection or
+cylinder is a few whole-int shifts per coordinate that serve every field at
+once.  R is join reducible iff the AND of the cylinders of its
+(n-1)-projections is R, and degenerate iff R = cyl(pi_A) & cyl(pi_B) for
+some bipartition (A, B); one addition tests every field of a difference for
+zero (see ``_CensusSpace``).
 
 The Boolean-rank decider (two-factor relative products) and the one-parameter
 box decider (ternary projoins) share one bitmask cover search, ``_cover``:
@@ -31,6 +34,7 @@ the (n-1)-projections joins them once, and a "no" fails its verification.
 from __future__ import annotations
 
 import decimal
+import functools
 import itertools
 import json
 import math
@@ -469,23 +473,61 @@ def _repeat(block: int, width: int, count: int) -> int:
     return out
 
 
+# A census batch packs its masks into one int of at most this many bits (or
+# of one field, when a single field is wider).
+_BATCH_BITS = 1 << 16
+
+
+def _saturate(x: int, shifts: list[int], zero: int) -> int:
+    """Project ``x`` along one coordinate and take the cylinder back: OR
+    its slices into slice 0 (``x >> v*s``, masked to ``zero``), then copy
+    slice 0 to every slice (``<< v*s``)."""
+    slice0 = x
+    for shift in shifts:
+        slice0 |= x >> shift
+    slice0 &= zero
+    cylinder = slice0
+    for shift in shifts:
+        cylinder |= slice0 << shift
+    return cylinder
+
+
 class _CensusSpace:
-    """Bit-parallel tests of n-ary relations on a d-element domain, each
-    relation a mask of d^n bits.
+    """Batched bit-parallel tests of n-ary relations on a d-element domain,
+    each relation a mask of d^n bits.
 
     Bit i is the i-th cell of ``itertools.product(range(d), repeat=n)``,
-    so coordinate j has stride s_j = d^(n-1-j).  Projecting X along j ORs
-    its d slices along j into slice 0 (``X >> v*s_j`` for v < d, masked
-    to the cells whose j-th value is 0); the cylinder copies slice 0 back
-    to every slice (``<< v*s_j``).  Each is about d shifts and ORs on the
-    whole mask, and a projection along several coordinates keeps |pi| set
-    bits.
+    so coordinate j has stride s_j = d^(n-1-j).  Saturating X along j
+    (projecting it along j and taking the cylinder back) ORs its d slices
+    along j into slice 0 (``X >> v*s_j`` for v < d, masked to ``zero_j``,
+    the cells whose j-th value is 0) and copies slice 0 back to every
+    slice (``<< v*s_j``): about 2d shifts and ORs on the whole mask.
+
+    ``count`` tests many masks per big-int operation (broadword computing,
+    Knuth, TAOCP 4A, 7.1.3).  A batch packs its masks side by side in one
+    int, one field of ``width`` bits per mask:
+    - A field holds the d^n cells, then zero bits up to a whole byte (so
+      that masks pack as bytes); there is at least one, and the field's top
+      bit is its guard, which every operation leaves 0.
+    - No shift crosses a field.  A right shift by v*s_j < d*s_j lands a bit
+      of the next field only on a cell whose j-th value is not 0, which
+      ``zero_j`` clears; a left shift starts from slice 0, whose cells stay
+      inside the field when their j-th value grows to v < d.
+    - A field holding x is zero iff x + 2^(width-1) - 1 leaves its guard
+      bit clear: the sum stays below 2^width, so no carry leaves the field,
+      and ``(X + low) & guard`` marks every nonzero field of X at once.
+    - A batch holds ``fields`` masks, as many as fit in ``_BATCH_BITS``
+      bits, or one mask when a field is wider.  The budget keeps each
+      operation on a few kilobytes; the degeneracy test memoizes at most
+      2^n - 2 saturations of its batch.
 
     R is join reducible iff it equals the join of its (n-1)-projections,
     i.e. the AND of their n cylinders.  R is degenerate iff some
-    bipartition (A, B) of the coordinates has |pi_A| * |pi_B| = |R|.
-    Degeneracy is tested only when the join test passes, since a Cartesian
-    product is a join reduction."""
+    bipartition (A, B) of the coordinates has R = cyl(pi_A) & cyl(pi_B):
+    R lies inside pi_A x pi_B, so this is |pi_A| * |pi_B| = |R|.  A
+    Cartesian product is a join reduction, so degeneracy is tested only in
+    a batch with a join-reducible field, and only until every such field
+    is found degenerate or every bipartition is tried."""
 
     def __init__(self, d: int, n: int):
         self.n = n
@@ -496,69 +538,90 @@ class _CensusSpace:
             ([v * s for v in range(1, d)], _repeat((1 << s) - 1, d * s, d ** j))
             for j, s in enumerate(d ** (n - 1 - j) for j in range(n))
         ]
-        # Every set of 2..n-1 dropped coordinates, depth first, as (parent
-        # slot, slot, coordinate dropped, kept coordinates as a bitmask).
-        # Slot j holds the projection dropping j; slot n + k - 2 the
-        # current set of k dropped coordinates, so at most 2n - 2
-        # projections are alive.
-        self.walk: list[tuple[int, int, int, int]] = []
-        for j in range(n):
-            self._plan(1 << j, j, j)
+        self.width = (self.ncells // 8 + 1) * 8
+        self.fields = max(1, _BATCH_BITS // self.width)
 
-    def _plan(self, dropped: int, last: int, parent: int) -> None:
+    # The batch constants are built on the first count: the box decider
+    # reads only the axes.
+
+    @functools.cached_property
+    def batch_axes(self) -> list[tuple[list[int], int]]:
+        """The axes of a full batch; one field reads the axes as they are,
+        uncopied."""
+        if self.fields == 1:
+            return self.axes
+        return [(shifts, _repeat(zero, self.width, self.fields)) for shifts, zero in self.axes]
+
+    @functools.cached_property
+    def ones(self) -> int:
+        """The lowest bit of every field of a full batch."""
+        return _repeat(1, self.width, self.fields)
+
+    @functools.cached_property
+    def bipartitions(self) -> list[tuple[int, int]]:
+        """Each unordered bipartition of the coordinates once, as two kept
+        sets (coordinate bitmasks), one-coordinate factors first."""
         full = (1 << self.n) - 1
-        slot = self.n + dropped.bit_count() - 1
-        for j in range(last + 1, self.n):
-            child = dropped | 1 << j
-            if child != full:
-                self.walk.append((parent, slot, j, full ^ child))
-                self._plan(child, j, slot)
+        return sorted(((full ^ b, b) for b in range(1, full) if b < full ^ b),
+                      key=lambda pair: min(pair[0].bit_count(), pair[1].bit_count()))
+
+    def count(self, masks: Iterable[int]) -> tuple[int, int]:
+        """How many of ``masks`` (each below 2^(d^n)) are degenerate, and
+        how many join reducible.  They are tested in batches of ``fields``
+        masks in their order; mask i of a batch is its field i, bits
+        i*width to (i+1)*width - 1, and a batch of one is the mask itself."""
+        deg = jred = 0
+        if self.n < 2:
+            return deg, jred
+        nbytes = self.width // 8
+        masks = iter(masks)
+        while batch := list(itertools.islice(masks, self.fields)):
+            if len(batch) == 1:
+                packed = batch[0]
+            else:
+                packed = int.from_bytes(
+                    b"".join([mask.to_bytes(nbytes, "little") for mask in batch]), "little")
+            ones = self.ones >> (self.fields - len(batch)) * self.width
+            batch_deg, batch_jred = self._count_batch(packed, ones)
+            deg += batch_deg
+            jred += batch_jred
+        return deg, jred
 
     def classify(self, mask: int) -> tuple[bool, bool]:
-        """(degenerate, join_reducible) for the relation ``mask``."""
-        if self.n < 2:
-            return False, False
-        joined = -1
-        projections = []
-        for shifts, zero in self.axes:
-            slice0 = mask
-            for shift in shifts:
-                slice0 |= mask >> shift
-            slice0 &= zero
-            projections.append(slice0)
-            cylinder = slice0
-            for shift in shifts:
-                cylinder |= slice0 << shift
-            joined &= cylinder
-        if joined != mask:
-            return False, False
-        return self._is_degenerate(mask.bit_count(), projections), True
+        """(degenerate, join_reducible) for the one relation ``mask``."""
+        deg, jred = self.count([mask])
+        return deg == 1, jred == 1
 
-    def _is_degenerate(self, size: int, projections: list[int]) -> bool:
-        """Record |pi_kept| for every proper nonempty kept set and stop at
-        the first bipartition whose two projection sizes multiply to |R|.
-        The (n-1)-projections are recorded first, so that a factor on one
-        coordinate is found after its first descent."""
-        full = (1 << self.n) - 1
-        # a side not yet recorded reads 0, which matches only |R| = 0, and
-        # the empty relation is degenerate
-        card = {full ^ 1 << j: u.bit_count() for j, u in enumerate(projections)}
-        for kept, count in card.items():
-            if card.get(full ^ kept, 0) * count == size:
-                return True
-        level = projections + [0] * (self.n - 2)
-        for parent, slot, j, kept in self.walk:
-            # projected inline, as in classify: a call per projection costs
-            # about 40% at desk sizes
-            shifts, zero = self.axes[j]
-            x = slice0 = level[parent]
-            for shift in shifts:
-                slice0 |= x >> shift
-            level[slot] = slice0 = slice0 & zero
-            count = card[kept] = slice0.bit_count()
-            if card.get(full ^ kept, 0) * count == size:
-                return True
-        return False
+    def _count_batch(self, packed: int, ones: int) -> tuple[int, int]:
+        """(degenerate, join_reducible) counts of the fields of ``packed``,
+        one field per bit of ``ones``, the lowest bit of each field."""
+        joined = -1
+        for shifts, zero in self.batch_axes:
+            joined &= _saturate(packed, shifts, zero)
+        # built here, after the saturations: one field's are as long as R
+        guard = ones << self.width - 1
+        low = guard - ones
+        # the guard bits of the join-reducible fields, then of those not
+        # yet found degenerate
+        pending = guard ^ (((joined ^ packed) + low) & guard)
+        jred = pending.bit_count()
+        if pending:
+            sats = {(1 << self.n) - 1: packed}
+            for a, b in self.bipartitions:
+                pending &= ((self._sat(sats, a) & self._sat(sats, b)) ^ packed) + low
+                if not pending:
+                    break
+        return jred - pending.bit_count(), jred
+
+    def _sat(self, sats: dict[int, int], kept: int) -> int:
+        """cyl(pi_kept) of the batch, memoized in ``sats``: the saturation
+        of the next larger kept set along the lowest dropped coordinate."""
+        if kept not in sats:
+            dropped = ((1 << self.n) - 1) ^ kept
+            j = (dropped & -dropped).bit_length() - 1
+            shifts, zero = self.batch_axes[j]
+            sats[kept] = _saturate(self._sat(sats, kept | 1 << j), shifts, zero)
+        return sats[kept]
 
 
 def _check_census(d: int, n: int) -> None:
@@ -573,16 +636,6 @@ def _check_census(d: int, n: int) -> None:
         )
 
 
-def _classify_all(space: _CensusSpace, masks: Iterable[int]) -> tuple[int, int]:
-    """How many of ``masks`` are degenerate, and how many join reducible."""
-    deg = jred = 0
-    for mask in masks:
-        is_deg, is_jred = space.classify(mask)
-        deg += is_deg
-        jred += is_jred
-    return deg, jred
-
-
 def census(d: int, n: int) -> CensusRow:
     """Exact census of all 2^(d^n) n-ary relations on a d-element domain:
     how many are degenerate, how many join reducible, against the crude
@@ -593,10 +646,10 @@ def census(d: int, n: int) -> CensusRow:
     if d ** min(n, bits) >= bits:  # the exponent is capped: n may be huge
         raise CapExceededError(
             f"census of 2^({d}^{n}) relations exceeds cap {cap}; "
-            "use census_sampled instead"
+            "sample instead (relred census --sample)"
         )
     space = _CensusSpace(d, n)
-    deg, jred = _classify_all(space, range(2 ** space.ncells))
+    deg, jred = space.count(range(2 ** space.ncells))
     bound_ndeg, bound_njred = _census_bounds(d, n)
     assert deg <= bound_ndeg, "degenerate count exceeds its counting bound"
     assert jred <= bound_njred, "join-reducible count exceeds its counting bound"
@@ -606,13 +659,17 @@ def census(d: int, n: int) -> CensusRow:
 
 def census_sampled(d: int, n: int, samples: int, seed: int = 0) -> CensusRow:
     """Sampled census: counts over `samples` uniformly drawn relation
-    bitmasks.  Counts are per-sample, not extrapolated."""
+    bitmasks.  Counts are per-sample, not extrapolated.  The draws count
+    against ``max_search_nodes``, as the exact census's masks do."""
     if samples < 0:
         raise PreconditionError(f"sampled census needs samples >= 0, got {samples}")
     _check_census(d, n)
+    cap = current().max_search_nodes
+    if samples > cap:
+        raise CapExceededError(f"sampled census of {samples} relations exceeds cap {cap}")
     space = _CensusSpace(d, n)
     rng = random.Random(seed)
-    deg, jred = _classify_all(space, (rng.getrandbits(space.ncells) for _ in range(samples)))
+    deg, jred = space.count(rng.getrandbits(space.ncells) for _ in range(samples))
     return CensusRow(d, n, 2 ** space.ncells, deg, jred, *_census_bounds(d, n),
                      mode="sampled", samples=samples)
 

@@ -164,7 +164,9 @@ def test_census_caps_before_allocating(no_census_space, d, n, caps, run):
 def test_census_search_budget_boundary():
     # the exact census of D^3 on two elements tests 2^(2^3) = 256 masks
     with using(Caps(max_search_nodes=255)), pytest.raises(
-            CapExceededError, match=r"^census of 2\^\(2\^3\) relations exceeds cap 255;"):
+            CapExceededError,
+            match=r"^census of 2\^\(2\^3\) relations exceeds cap 255; "
+                  r"sample instead \(relred census --sample\)$"):
         census(2, 3)
     with using(Caps(max_search_nodes=256)):
         row = census(2, 3)
@@ -175,6 +177,13 @@ def test_census_budget_refusal_names_d_and_n(no_census_space):
     # not the 4,772 digits of 3^10000, past the interpreter's str limit
     with using(Caps(max_arity=10000)), pytest.raises(CapExceededError, match=r"2\^\(3\^10000\)"):
         census(3, 10000)
+
+
+def test_sampled_census_search_budget(no_census_space):
+    # the draws count against the budget, before D^n is built
+    with using(Caps(max_search_nodes=999)), pytest.raises(
+            CapExceededError, match=r"^sampled census of 1000 relations exceeds cap 999$"):
+        census_sampled(2, 2, 1000)
 
 
 def test_census_sampled_at_the_caps_builds_the_space(no_census_space):

@@ -1,14 +1,19 @@
 """The bit-parallel census tests against the per-cell reference.
 
-``_CensusSpace.classify`` decides degeneracy and join reducibility with
-whole-mask shifts; ``oracles.PerCellCensus`` decides them cell by cell.
-They are compared on every mask of the small spaces and on random masks,
-thinned by ANDing further draws or built as Cartesian products so that
-both properties occur, of the larger ones.
+``_CensusSpace.count`` decides degeneracy and join reducibility for a batch
+of masks packed into one int, one field per mask, with whole-int shifts
+(``classify`` is ``count`` of one mask); ``oracles.PerCellCensus`` decides
+them cell by cell.  They are compared on every mask of the small spaces and
+on random masks, thinned by ANDing further draws or built as Cartesian
+products so that both properties occur, of the larger ones: one mask at a
+time, many masks in one batch (where a field's test must not read its
+neighbours, such as an empty field between two full ones), and one mask
+more than a batch holds.
 """
 
 import decimal
 import itertools
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -45,21 +50,25 @@ LARGER = [(3, 3), (2, 5), (3, 4), (4, 3), (2, 6), (5, 2)]
 
 
 @st.composite
-def thinned_masks(draw):
+def thinned_mask(draw, d, n):
     """A uniform mask ANDed with up to three further uniform masks."""
-    d, n = draw(st.sampled_from(LARGER))
     rng = draw(st.randoms(use_true_random=False))
     mask = rng.getrandbits(d ** n)
     for _ in range(draw(st.integers(0, 3))):
         mask &= rng.getrandbits(d ** n)
-    return d, n, mask
+    return mask
 
 
 @st.composite
-def product_masks(draw):
+def thinned_masks(draw):
+    d, n = draw(st.sampled_from(LARGER))
+    return d, n, draw(thinned_mask(d, n))
+
+
+@st.composite
+def product_mask(draw, d, n):
     """The Cartesian product of random relations on a random bipartition,
     possibly with one cell toggled: degenerate cases and near misses."""
-    d, n = draw(st.sampled_from(LARGER))
     left = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
     right = [j for j in range(n) if j not in left]
     left = sorted(left)
@@ -75,7 +84,25 @@ def product_masks(draw):
             mask |= 1 << i
     if draw(st.booleans()):
         mask ^= 1 << draw(st.integers(0, d ** n - 1))
-    return d, n, mask
+    return mask
+
+
+@st.composite
+def product_masks(draw):
+    d, n = draw(st.sampled_from(LARGER))
+    return d, n, draw(product_mask(d, n))
+
+
+@st.composite
+def mask_batches(draw):
+    """Masks of one space for one count call: thinned, product and toggled
+    product masks, with the all-ones mask on both sides of an empty one."""
+    d, n = draw(st.sampled_from(LARGER))
+    masks = draw(st.lists(st.one_of(thinned_mask(d, n), product_mask(d, n)), max_size=40))
+    at = draw(st.integers(0, len(masks)))
+    full = (1 << d ** n) - 1
+    masks[at:at] = [full, 0, full]
+    return d, n, masks
 
 
 @PROPS
@@ -90,6 +117,37 @@ def test_thinned_masks_match_per_cell_reference(case):
 def test_product_masks_match_per_cell_reference(case):
     d, n, mask = case
     assert _CensusSpace(d, n).classify(mask) == reference(d, n, mask)
+
+
+def expected_counts(d, n, masks):
+    oracle = PerCellCensus(d, n)
+    return (sum(map(oracle.is_degenerate, masks)), sum(map(oracle.is_join_reducible, masks)))
+
+
+@PROPS
+@given(mask_batches())
+def test_batched_count_matches_per_cell_reference(case):
+    # the masks share one batch, one field each
+    d, n, masks = case
+    assert _CensusSpace(d, n).count(masks) == expected_counts(d, n, masks)
+
+
+def test_count_past_one_batch():
+    # one mask more than a batch holds: the last is alone in a second batch
+    d, n = 10, 3
+    space = _CensusSpace(d, n)
+    assert space.fields > 4
+    full = (1 << d ** n) - 1
+    # the product {0,1,2}^3; without a cell or with one more it is a near miss
+    cube = sum(1 << (x * d + y) * d + z
+               for x, y, z in itertools.product(range(3), repeat=3))
+    rng = random.Random(5)
+    masks = [full, 0, cube, cube ^ 1] + [rng.getrandbits(d ** n) & rng.getrandbits(d ** n)
+                                         for _ in range(space.fields - 4)]
+    for last in [full, cube, 0, cube ^ 1 << 14]:
+        batch = masks + [last]
+        assert len(batch) == space.fields + 1
+        assert space.count(batch) == expected_counts(d, n, batch)
 
 
 @pytest.mark.parametrize("d,n,expected", [

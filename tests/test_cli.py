@@ -367,6 +367,19 @@ def test_census_sampled_over_caps_exit_4(runner, workdir, no_census_space):
     assert res.output.startswith("cap exceeded:") and res.output.count("\n") == 1
 
 
+def test_census_sampled_search_budget_exit_4(runner, no_census_space):
+    args = ["census", "--d", "2", "--n", "2", "--sample", "1000"]
+    res = runner.invoke(main, args, env={"RELRED_CAPS": "max_search_nodes=999"})
+    assert res.exit_code == 4 and res.stdout == ""
+    assert res.stderr == "cap exceeded: sampled census of 1000 relations exceeds cap 999\n"
+
+
+def test_census_sampled_within_search_budget(runner):
+    args = ["census", "--d", "2", "--n", "2", "--sample", "999"]
+    res = runner.invoke(main, args, env={"RELRED_CAPS": "max_search_nodes=999"})
+    assert res.exit_code == 0 and res.stdout.splitlines()[1].endswith(",sampled,999")
+
+
 @pytest.mark.parametrize("d,n", [("3", "10000"), ("1", "40")])
 def test_census_over_caps_exit_4(runner, workdir, no_census_space, d, n):
     res = run(runner, workdir, "census", "--d", d, "--n", n)
