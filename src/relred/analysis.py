@@ -15,7 +15,10 @@ cylinder is a few whole-int shifts per coordinate that serve every field at
 once.  R is join reducible iff the AND of the cylinders of its
 (n-1)-projections is R, and degenerate iff R = cyl(pi_A) & cyl(pi_B) for
 some bipartition (A, B); one addition tests every field of a difference for
-zero (see ``_CensusSpace``).
+zero (see ``_CensusSpace``).  Both censuses refuse, before any space is built,
+a row that ``str`` could not print: one whose total 2^(d^n) or counting bound
+has more than 4,300 digits.  So each of their batches holds at least four
+relations.
 
 The Boolean-rank decider (two-factor relative products) and the one-parameter
 box decider (ternary projoins) share one bitmask cover search, ``_cover``:
@@ -33,12 +36,11 @@ the (n-1)-projections joins them once, and a "no" fails its verification.
 
 from __future__ import annotations
 
-import decimal
 import functools
 import itertools
 import json
-import math
 import random
+import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -53,7 +55,7 @@ from .errors import (
     VerificationError,
 )
 from .formula import ReductionCertificate
-from .reducers import _certificate, _labeled_union
+from .reducers import _labeled_union, _projection_join
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +131,8 @@ def is_join_reducible(rel: Relation) -> Optional[ReductionCertificate]:
     always contains R, so a "no" is refused on its row count."""
     if rel.arity < 2:
         raise PreconditionError("join reducibility needs arity >= 2")
-    factors = [core.project(rel, rel.scheme - {i}) for i in rel.attrs]
-    env = {f"F{j}": factor for j, factor in enumerate(factors, start=1)}
     try:
-        return _certificate(rel, env, {})
+        return _projection_join(rel, (rel.scheme - {i} for i in rel.attrs))
     except VerificationError:
         return None
 
@@ -154,13 +154,7 @@ class IrreducibilityReport:
         return self.condition_i or self.condition_ii
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "condition_i": self.condition_i,
-                "condition_ii": self.condition_ii,
-                "implies_irreducible": self.implies_irreducible,
-            }
-        )
+        return json.dumps(dict(asdict(self), implies_irreducible=self.implies_irreducible))
 
 
 def irreducibility_tests(rel: Relation) -> IrreducibilityReport:
@@ -196,8 +190,8 @@ class BooleanMatrix:
 
 def bipartition_matrix(rel: Relation, left: Iterable[str]) -> BooleanMatrix:
     """The relation as a 0-1 matrix indexed by value tuples of the two
-    blocks of a bipartition of its scheme.  A matrix over ``rank_max_cells``
-    is refused before its rows and columns are listed."""
+    blocks of a bipartition of its scheme.  A matrix over ``_RANK_MAX_CELLS``
+    cells is refused before its rows and columns are listed."""
     left_c = core.canonical_attrs(left)
     if not set(left_c) < rel.scheme or not left_c:
         raise AttributeSchemeError("left block must be a nonempty proper subset")
@@ -217,11 +211,14 @@ def bipartition_matrix(rel: Relation, left: Iterable[str]) -> BooleanMatrix:
     )
 
 
+# The Boolean-rank search refuses larger matrices.
+_RANK_MAX_CELLS = 65536
+
+
 def _check_cells(cells: int) -> None:
-    """Refuse a Boolean matrix of more than ``rank_max_cells`` cells."""
-    max_cells = current().rank_max_cells
-    if cells > max_cells:
-        raise CapExceededError(f"matrix has {cells} cells > cap {max_cells}")
+    """Refuse a Boolean matrix of more than ``_RANK_MAX_CELLS`` cells."""
+    if cells > _RANK_MAX_CELLS:
+        raise CapExceededError(f"matrix has {cells} cells > cap {_RANK_MAX_CELLS}")
 
 
 def _maximal_rectangles(m: BooleanMatrix) -> list[tuple[int, int]]:
@@ -417,46 +414,35 @@ class CensusRow:
     samples: Optional[int] = None
 
     def to_json(self) -> str:
-        return "{%s}" % ", ".join(
-            f"{json.dumps(name)}: "
-            + (_digits(value) if isinstance(value, int) else json.dumps(value))
-            for name, value in asdict(self).items()
-        )
+        return json.dumps(asdict(self))
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            _digits(value) if isinstance(value, int) else value or ""
-            for value in asdict(self).values()
-        )
+        return ",".join("" if value is None else str(value) for value in asdict(self).values())
 
 
-def _digits(x: int) -> str:
-    """Decimal digits of x.  ``str`` refuses ints past the interpreter's
-    digit limit (4300 digits by default) and is quadratic in the length,
-    while a sampled census over d^n cells prints 2^(d^n): so x is split at
-    half its bit length and the halves are recombined in the ``decimal``
-    module, whose multiplication is subquadratic (as Python 3.12's
-    ``str`` does for large ints)."""
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-    powers: dict[int, decimal.Decimal] = {}
-
-    def convert(x: int, width: int) -> decimal.Decimal:
-        if width <= 4096:
-            return decimal.Decimal(x)
-        half = width // 2
-        if half not in powers:
-            powers[half] = ctx.power(decimal.Decimal(2), half)
-        high = x >> half
-        low = convert(x - (high << half), half)
-        return ctx.add(ctx.multiply(convert(high, width - half), powers[half]), low)
-
-    return str(convert(x, x.bit_length()))
+# ``str`` prints ints of at most this many decimal digits by default.
+_MAX_DIGITS = 4300
 
 
-def _census_bounds(d: int, n: int) -> tuple[int, int]:
-    ndeg = 2 ** (d + d ** (n - 1) - 1) * sum(math.comb(n, k) for k in range(1, n))
-    njred = 2 ** (n * d ** (n - 1))
-    return ndeg, njred
+def _census_numbers(d: int, n: int) -> tuple[int, int, int]:
+    """A census row's total 2^(d^n) and its crude counting bounds on the
+    degenerate and the join-reducible relations.  The row is refused when
+    one of the three has more than ``_MAX_DIGITS`` decimal digits, or more
+    than the interpreter's own limit on ``str(int)`` when that is lower: so
+    ``str`` prints every admitted row, and every admitted relation, a mask
+    of d^n < 14,285 bits, fits in one field of a ``_CensusSpace`` batch."""
+    limit = min(_MAX_DIGITS, sys.get_int_max_str_digits() or _MAX_DIGITS)
+    ceiling = 10 ** limit
+    bits = ceiling.bit_length()  # 2^e >= ceiling for every e >= bits
+    # the total is 2^(d^n) and bound_njred is at least 2^n, so a huge n or
+    # d^n is refused before any power of two is built
+    if n < bits and d ** n < bits:
+        numbers = (2 ** d ** n, 2 ** (d + d ** (n - 1) - 1) * (2 ** n - 2),
+                   2 ** (n * d ** (n - 1)))
+        if max(numbers) < ceiling:
+            return numbers
+    raise CapExceededError(
+        f"census over d={d}, n={n} would print a number of more than {limit} digits")
 
 
 def _repeat(block: int, width: int, count: int) -> int:
@@ -474,7 +460,8 @@ def _repeat(block: int, width: int, count: int) -> int:
 
 
 # A census batch packs its masks into one int of at most this many bits (or
-# of one field, when a single field is wider).
+# of one field, when a single field is wider: only in a space built directly,
+# since no census admits such a mask).
 _BATCH_BITS = 1 << 16
 
 
@@ -517,9 +504,10 @@ class _CensusSpace:
       bit clear: the sum stays below 2^width, so no carry leaves the field,
       and ``(X + low) & guard`` marks every nonzero field of X at once.
     - A batch holds ``fields`` masks, as many as fit in ``_BATCH_BITS``
-      bits, or one mask when a field is wider.  The budget keeps each
-      operation on a few kilobytes; the degeneracy test memoizes at most
-      2^n - 2 saturations of its batch.
+      bits, or one mask when a field is wider.  The censuses admit only
+      masks of fewer than 14,285 bits, so each of their operations is on at
+      most 8 kilobytes, and the degeneracy test memoizes at most 2^n - 2
+      saturations of its batch: about 2 MB at n = 8.
 
     R is join reducible iff it equals the join of its (n-1)-projections,
     i.e. the AND of their n cylinders.  R is degenerate iff some
@@ -546,10 +534,7 @@ class _CensusSpace:
 
     @functools.cached_property
     def batch_axes(self) -> list[tuple[list[int], int]]:
-        """The axes of a full batch; one field reads the axes as they are,
-        uncopied."""
-        if self.fields == 1:
-            return self.axes
+        """The axes of a full batch."""
         return [(shifts, _repeat(zero, self.width, self.fields)) for shifts, zero in self.axes]
 
     @functools.cached_property
@@ -569,18 +554,15 @@ class _CensusSpace:
         """How many of ``masks`` (each below 2^(d^n)) are degenerate, and
         how many join reducible.  They are tested in batches of ``fields``
         masks in their order; mask i of a batch is its field i, bits
-        i*width to (i+1)*width - 1, and a batch of one is the mask itself."""
+        i*width to (i+1)*width - 1."""
         deg = jred = 0
         if self.n < 2:
             return deg, jred
         nbytes = self.width // 8
         masks = iter(masks)
         while batch := list(itertools.islice(masks, self.fields)):
-            if len(batch) == 1:
-                packed = batch[0]
-            else:
-                packed = int.from_bytes(
-                    b"".join([mask.to_bytes(nbytes, "little") for mask in batch]), "little")
+            packed = int.from_bytes(
+                b"".join([mask.to_bytes(nbytes, "little") for mask in batch]), "little")
             ones = self.ones >> (self.fields - len(batch)) * self.width
             batch_deg, batch_jred = self._count_batch(packed, ones)
             deg += batch_deg
@@ -648,13 +630,12 @@ def census(d: int, n: int) -> CensusRow:
             f"census of 2^({d}^{n}) relations exceeds cap {cap}; "
             "sample instead (relred census --sample)"
         )
-    space = _CensusSpace(d, n)
-    deg, jred = space.count(range(2 ** space.ncells))
-    bound_ndeg, bound_njred = _census_bounds(d, n)
+    total, bound_ndeg, bound_njred = _census_numbers(d, n)
+    deg, jred = _CensusSpace(d, n).count(range(total))
     assert deg <= bound_ndeg, "degenerate count exceeds its counting bound"
     assert jred <= bound_njred, "join-reducible count exceeds its counting bound"
     assert deg <= jred, "every Cartesian factorization is a join reduction"
-    return CensusRow(d, n, 2 ** space.ncells, deg, jred, bound_ndeg, bound_njred)
+    return CensusRow(d, n, total, deg, jred, bound_ndeg, bound_njred)
 
 
 def census_sampled(d: int, n: int, samples: int, seed: int = 0) -> CensusRow:
@@ -667,10 +648,11 @@ def census_sampled(d: int, n: int, samples: int, seed: int = 0) -> CensusRow:
     cap = current().max_search_nodes
     if samples > cap:
         raise CapExceededError(f"sampled census of {samples} relations exceeds cap {cap}")
+    total, bound_ndeg, bound_njred = _census_numbers(d, n)
     space = _CensusSpace(d, n)
     rng = random.Random(seed)
     deg, jred = space.count(rng.getrandbits(space.ncells) for _ in range(samples))
-    return CensusRow(d, n, 2 ** space.ncells, deg, jred, *_census_bounds(d, n),
+    return CensusRow(d, n, total, deg, jred, bound_ndeg, bound_njred,
                      mode="sampled", samples=samples)
 
 

@@ -3,9 +3,8 @@
 Everything in this library works by explicit enumeration of D^Sigma, so
 domain size and arity are capped to keep that enumerable.  One budget,
 ``max_search_nodes``, bounds the time of every exhaustive loop (deciders,
-both censuses), and ``rank_max_cells`` the Boolean-rank matrix, before it is
-built.  The active caps live in one context variable: ``current()`` reads
-them, and ``with using(caps):`` sets them for a block and restores the
+both censuses).  The active caps live in one context variable: ``current()``
+reads them, and ``with using(caps):`` sets them for a block and restores the
 previous value when the block ends, also when it raises.  Library calls run
 under ``Caps()`` unless a caller sets others with ``using``.
 
@@ -31,7 +30,6 @@ from .errors import ParseError
 class Caps:
     max_domain: int = 8                # |D|
     max_arity: int = 8                 # enumerated schemes (standard, complement, census)
-    rank_max_cells: int = 65536        # Boolean-rank search refuses larger matrices
     max_search_nodes: int = 1_000_000  # boxes, closure steps, cover nodes, census masks and draws
 
 

@@ -97,6 +97,16 @@ def _emit(ctx, to_json, to_text):
     _echo(to_json() if ctx.obj["format"] == "json" else to_text())
 
 
+def _verdict(ctx, cert, out, key, label):
+    """Save ``cert`` to the bundle ``out`` when both are given, then print
+    whether there is one, as ``{key: bool}`` or ``label: yes|no``."""
+    if cert is not None and out:
+        formula.save_certificate(cert, out)
+    found = cert is not None
+    _emit(ctx, lambda: json.dumps({key: found}),
+          lambda: f"{label}: {'yes' if found else 'no'}")
+
+
 @click.group(cls=_Main)
 @click.option("--format", "fmt", type=click.Choice(["json", "text", "csv"]),
               default="text", help="output format")
@@ -285,12 +295,7 @@ def analyze_cmd(ctx, rel_file, which, relprod2, out):
     _, rel = _load_rel(rel_file)
     if relprod2 is not None:
         cert = analysis.rel_prod_reducible2(rel, _parse_attr_list(relprod2))
-        if cert is None:
-            _emit(ctx, lambda: json.dumps({"reducible": False}), lambda: "relprod2: no")
-        else:
-            if out:
-                formula.save_certificate(cert, out)
-            _emit(ctx, lambda: json.dumps({"reducible": True}), lambda: "relprod2: yes")
+        _verdict(ctx, cert, out, "reducible", "relprod2")
     elif which == "degenerate":
         witness = analysis.is_degenerate(rel)
         _emit(ctx,
@@ -299,17 +304,10 @@ def analyze_cmd(ctx, rel_file, which, relprod2, out):
               lambda: "degenerate: " + ("|".join(",".join(b) for b in witness)
                                          if witness else "no"))
     elif which == "join-reducible":
-        cert = analysis.is_join_reducible(rel)
-        if cert is not None and out:
-            formula.save_certificate(cert, out)
-        _emit(ctx, lambda: json.dumps({"join_reducible": cert is not None}),
-              lambda: "join reducible: " + ("yes" if cert is not None else "no"))
+        _verdict(ctx, analysis.is_join_reducible(rel), out, "join_reducible", "join reducible")
     elif which == "one-param":
-        cert = analysis.one_param_ternary_projoin(rel)
-        if cert is not None and out:
-            formula.save_certificate(cert, out)
-        _emit(ctx, lambda: json.dumps({"one_param_reducible": cert is not None}),
-              lambda: "one-parameter projoin: " + ("yes" if cert is not None else "no"))
+        _verdict(ctx, analysis.one_param_ternary_projoin(rel), out,
+                 "one_param_reducible", "one-parameter projoin")
     elif which == "oracle-suite":
         evidence = analysis.ternary_oracle_suite(rel)
         _emit(ctx, lambda: json.dumps(evidence),

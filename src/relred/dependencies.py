@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import core
@@ -43,15 +43,7 @@ class DependencyReport:
     witness: Optional[tuple[tuple[str, ...], tuple[str, ...]]] = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "lhs": list(self.lhs),
-                "rhs": [list(b) for b in self.rhs],
-                "holds": self.holds,
-                "witness": [list(t) for t in self.witness] if self.witness else None,
-            }
-        )
+        return json.dumps(asdict(self))
 
     def to_text(self) -> str:
         lhs = ",".join(self.lhs) or "-"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from . import analysis, core, dependencies
@@ -143,11 +143,7 @@ class BondGraph:
     max_degree: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"V": self.V, "E": self.E, "C": self.C, "K": self.K,
-             "I": self.I, "II": self.II, "III": self.III,
-             "max_degree": self.max_degree}
-        )
+        return json.dumps(asdict(self))
 
 
 def bond_graph_stats(diagram: BondingDiagram) -> BondGraph:
@@ -479,15 +475,7 @@ class TernarityReport:
         return self.lower if self.lower == self.upper else None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "arity": self.arity,
-                "lower": self.lower,
-                "upper": self.upper,
-                "parity": self.parity,
-                "evidence": list(self.evidence),
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _proter_upper(f: Formula) -> Optional[int]:

@@ -70,6 +70,13 @@ def _certificate(
     return ReductionCertificate(target, f, env, {v: a for a, v in var.items()})
 
 
+def _projection_join(rel: Relation, schemes: Iterable[Iterable[str]]) -> ReductionCertificate:
+    """The quantifier-free certificate F1 & F2 & ..., factor Fj the
+    projection of ``rel`` onto the j-th of ``schemes``."""
+    env = {f"F{j}": core.project(rel, scheme) for j, scheme in enumerate(schemes, start=1)}
+    return _certificate(rel, env, {})
+
+
 def _label_count(d: int, k: int) -> int:
     """d^k, the number of distinct k-parameter labels over d elements."""
     if k < 0:
@@ -133,10 +140,7 @@ def key_reduction(rel: Relation, key: Iterable[str]) -> ReductionCertificate:
             "trivial",
             "key covers the whole scheme; nothing left to factor",
         )
-    env = {
-        f"F{j}": core.project(rel, set(key_c) | {i}) for j, i in enumerate(rest, start=1)
-    }
-    return _certificate(rel, env, {})
+    return _projection_join(rel, (set(key_c) | {i} for i in rest))
 
 
 def fagin_decompose(
@@ -152,11 +156,7 @@ def fagin_decompose(
             f"{list(m_c)} ->> {[list(b) for b in report.rhs]} does not hold",
             witness=report.witness,
         )
-    env = {
-        f"F{j}": core.project(rel, set(m_c) | set(block))
-        for j, block in enumerate(report.rhs, start=1)
-    }
-    return _certificate(rel, env, {})
+    return _projection_join(rel, (set(m_c) | set(block) for block in report.rhs))
 
 
 def hypostatic_abstraction(rel: Relation, k: int) -> ReductionCertificate:

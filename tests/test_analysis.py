@@ -186,6 +186,20 @@ def test_sampled_census_search_budget(no_census_space):
         census_sampled(2, 2, 1000)
 
 
+@pytest.mark.parametrize("run,d,n,caps", [
+    (lambda d, n: census_sampled(d, n, 1), 4, 7, Caps()),
+    (lambda d, n: census_sampled(d, n, 0), 8, 8, Caps()),
+    # within the exact census's budget and arity caps: refused on the digits
+    (census, 3, 8, Caps(max_search_nodes=2 ** 7000)),
+    (census, 1, 10 ** 9, Caps(max_arity=10 ** 9)),
+], ids=["sampled-4-7", "sampled-8-8", "exact-3-8", "exact-1-huge"])
+def test_census_digit_limit_before_allocating(no_census_space, run, d, n, caps):
+    with using(caps), pytest.raises(
+            CapExceededError,
+            match=rf"^census over d={d}, n={n} would print a number of more than 4300 digits$"):
+        run(d, n)
+
+
 def test_census_sampled_at_the_caps_builds_the_space(no_census_space):
     with using(Caps(max_domain=2, max_arity=3)):
         with pytest.raises(AssertionError, match="census space built"):

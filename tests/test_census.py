@@ -11,7 +11,6 @@ neighbours, such as an empty field between two full ones), and one mask
 more than a batch holds.
 """
 
-import decimal
 import itertools
 import random
 
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relred.analysis import _CensusSpace, _digits, census, census_sampled
+from relred.analysis import _CensusSpace, census, census_sampled
 from relred.errors import PreconditionError
 
 from oracles import PerCellCensus
@@ -179,16 +178,3 @@ def test_sampled_census_negative_samples_refused(no_census_space):
 def test_sampled_census_zero_samples():
     row = census_sampled(2, 2, 0)
     assert (row.samples, row.degenerate, row.join_reducible) == (0, 0, 0)
-
-
-@pytest.mark.parametrize("x", [0, 1, 9, 10, 2 ** 64, 3 ** 2000, 2 ** 4097 - 1, 7 ** 5000])
-def test_digits_matches_str(x):
-    assert _digits(x) == str(x)
-
-
-def test_digits_past_the_str_limit():
-    # 2^16384 has 4933 digits, past the interpreter's default str limit
-    text = _digits(2 ** 16384)
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
-    assert decimal.Decimal(text) == ctx.power(decimal.Decimal(2), 16384)
-    assert text.isdigit() and len(text) == 4933

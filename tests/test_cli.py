@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import relred
-from relred import formula
+from relred import analysis, formula
 from relred.caps import Caps
 from relred.cli import main
 from relred.core import Domain, Relation, complement, dump_relation, standard
@@ -261,6 +261,24 @@ def test_analyze_flags(runner, workdir):
     assert res.exit_code == 0 and "no" in res.output
 
 
+@pytest.mark.parametrize("args,key,label", [
+    (["I3.rel", "--relprod2", "1"], "reducible", "relprod2: yes"),
+    (["I3.rel", "--join-reducible"], "join_reducible", "join reducible: yes"),
+    (["NotI3.rel", "--join-reducible"], "join_reducible", "join reducible: no"),
+    (["NotI3.rel", "--one-param"], "one_param_reducible", "one-parameter projoin: no"),
+])
+def test_analyze_saves_only_a_found_certificate(runner, workdir, args, key, label):
+    res = run(runner, workdir, "analyze", *args, "-o", "text")
+    assert res.exit_code == 0 and res.output == label + "\n"
+    found = label.endswith("yes")
+    assert (workdir / "text").exists() == found
+    if found:
+        assert run(runner, workdir, "verify", "text").exit_code == 0
+    res = run(runner, workdir, "--format", "json", "analyze", *args, "-o", "json")
+    assert res.exit_code == 0 and json.loads(res.output) == {key: found}
+    assert (workdir / "json").exists() == found
+
+
 def test_explicate_and_merge_commands(runner, workdir):
     assert run(runner, workdir, "reduce", "I4.rel", "--hypostatic", "1",
                "-o", "hc").exit_code == 0
@@ -396,15 +414,41 @@ def test_census_negative_sample_exit_3(runner, workdir):
     assert res.output.splitlines()[1] == "2,2,16,0,0,16,16,sampled,0"
 
 
-def test_census_sampled_prints_past_the_int_digit_limit(runner, workdir):
-    # 2^(4^7) has 4933 digits, more than str(int) allows by default
-    res = run(runner, workdir, "census", "--d", "4", "--n", "7", "--sample", "1")
+@pytest.mark.parametrize("d,n,sample", [("4", "7", "1"), ("8", "8", "0"), ("8", "8", "1000000")])
+def test_census_sampled_past_the_int_digit_limit_exit_4(runner, workdir, no_census_space,
+                                                        d, n, sample):
+    # 2^(4^7) has 4,933 digits, more than str(int) prints by default
+    res = run(runner, workdir, "census", "--d", d, "--n", n, "--sample", sample)
+    assert res.exit_code == 4 and res.stdout == ""
+    assert res.stderr == (f"cap exceeded: census over d={d}, n={n} "
+                          "would print a number of more than 4300 digits\n")
+
+
+# (6,5) has the largest admitted mask, 6^5 = 7,776 bits; (3,8) is refused on
+# its bound_njred 2^(8*3^7), of 5,267 digits, though its total has 1,976
+@pytest.mark.parametrize("d,n,admitted", [(6, 5, True), (3, 7, True), (3, 8, False),
+                                          (7, 5, False)])
+def test_census_digit_limit_boundary(runner, workdir, d, n, admitted):
+    args = ["census", "--d", str(d), "--n", str(n), "--sample", "1"]
+    res = run(runner, workdir, *args)
+    if not admitted:
+        assert res.exit_code == 4 and res.stdout == ""
+        return
     assert res.exit_code == 0
-    d, n, total = res.output.splitlines()[1].split(",")[:3]
-    assert (d, n, len(total), total[:6], total[-4:]) == ("4", "7", 4933, "118973", "6816")
-    res = run(runner, workdir, "--format", "json", "census", "--d", "4", "--n", "7",
-              "--sample", "1")
-    assert res.exit_code == 0 and f'"total": {total},' in res.output
+    row = res.stdout.splitlines()[1].split(",")
+    assert row[:3] == [str(d), str(n), str(2 ** d ** n)]
+    assert row[6] == str(2 ** (n * d ** (n - 1)))
+    res = run(runner, workdir, "--format", "json", *args)
+    assert res.exit_code == 0 and json.loads(res.stdout)["total"] == 2 ** d ** n
+
+
+def test_census_reads_the_interpreters_digit_limit(monkeypatch):
+    # 2^(5^5) has 941 digits: printed by default, refused under a limit of 640
+    monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
+    res = _with_caps("", "-m", "relred.cli", "census", "--d", "5", "--n", "5", "--sample", "1")
+    assert res.returncode == 4 and res.stdout == ""
+    assert res.stderr == ("cap exceeded: census over d=5, n=5 "
+                          "would print a number of more than 640 digits\n")
 
 
 @pytest.mark.parametrize("rows", ["a b\n", ""], ids=["one_row", "empty"])
@@ -453,9 +497,10 @@ def _with_caps(spec, *args):
 
 
 # rank_max_ones (a density cap of the Boolean-rank search) and the exact
-# census's cell cap are gone: the search budget bounds both loops now
+# census's cell cap are gone: the search budget bounds both loops now; the
+# Boolean-rank matrix's cell cap is a constant
 @pytest.mark.parametrize("spec", ["bogus=1", "max_arity=x", "max_arity", "rank_max_ones=24",
-                                  "max_census_cells=16"])
+                                  "max_census_cells=16", "rank_max_cells=65536"])
 def test_bad_caps_env_exit_2(spec):
     res = _with_caps(spec, "-m", "relred.cli", "census", "--d", "2", "--n", "2")
     assert res.returncode == 2 and res.stdout == ""
@@ -547,7 +592,7 @@ def test_rank_cells_cap_before_allocation_exit_4(workdir):
     res = _with_caps("", "-c", limited, "analyze", str(workdir / "R16.rel"),
                      "--relprod2", "1,2,3,4,5,6,7,8")
     assert res.returncode == 4 and res.stdout == ""
-    assert res.stderr == f"cap exceeded: matrix has {8 ** 16} cells > cap {Caps().rank_max_cells}\n"
+    assert res.stderr == f"cap exceeded: matrix has {8 ** 16} cells > cap {analysis._RANK_MAX_CELLS}\n"
 
 
 def test_relation_row_length_exit_2(runner, workdir):

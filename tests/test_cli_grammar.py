@@ -9,12 +9,6 @@ written, and a saved bundle.  Each example runs in a fresh copy of that
 pool, so outputs written by one example are not inputs to the next.  The
 run must end with exit 0, 2, 3, 4 or 5 and print no traceback.  Examples
 are derandomized so that the suite stays deterministic.
-
-The runs read ``RELRED_CAPS=max_arity=6``, and every cap check of a run
-reads it, ``core``'s arity cap on ``complement`` and ``standard``
-included.  Under the default caps a sampled census over 8^8 cells takes
-about 3 s, most of it spent writing counts of some ten million decimal
-digits, and the grammar draws such a census.
 """
 
 import os
@@ -113,7 +107,7 @@ def test_every_invocation_ends_in_an_exit_code(pool, args):
         cwd = os.getcwd()
         os.chdir(work)
         try:
-            res = CliRunner().invoke(main, args, env={"RELRED_CAPS": "max_arity=6"})
+            res = CliRunner().invoke(main, args)
         finally:
             os.chdir(cwd)
     assert res.exit_code in (0, 2, 3, 4, 5), (args, res.output, res.exception)
