@@ -4,10 +4,6 @@ Everything here is exact: degeneracy and join reducibility are decided by
 the cardinality/projection tests that characterize them, and censuses by
 testing at most ``max_search_nodes`` relations, every one or a sample.
 
-Degeneracy, the finest factorization and the universality hypotheses read
-one ``core.projection_sizes`` table: R is a product over a bipartition (A, B)
-iff |pi_A| * |pi_B| = |R|, and pi_X is universal iff it has d^|X| rows.
-
 The census tests relations by cylinder equality on packed fields: each
 relation is a bitmask over the d^n cells of D^n, a batch packs many masks
 side by side in one int, one guarded field each, and a projection or
@@ -20,18 +16,30 @@ a row that ``str`` could not print: one whose total 2^(d^n) or counting bound
 has more than 4,300 digits.  So each of their batches holds at least four
 relations.
 
+The dense deciders run on the same kernel, one relation at a time: up to
+``_BATCH_BITS`` cells, ``_mask`` encodes the relation's rows as one mask on
+``_CensusSpace(d, n)``.  Degeneracy tests the cylinder equality in
+``_bipartitions`` order, on the census's saturation memo; the join decider
+refuses a "no" when the AND of the n saturations is not R, with no join
+built, and proves a "yes" by its certificate over the (n-1)-projections,
+which verifies on construction; the box decider reads the mask's slices.
+Above ``_BATCH_BITS`` cells, degeneracy reads ``core.projection_sizes`` (R is
+a product over (A, B) iff |pi_A| * |pi_B| = |R|), and the join decider's
+certificate is its test: building it joins the projections once, and a "no"
+fails its verification.  The finest factorization and the universality
+hypotheses read ``core.projection_sizes`` at every size: pi_X is universal iff
+it has d^|X| rows.
+
 The Boolean-rank decider (two-factor relative products) and the one-parameter
 box decider (ternary projoins) share one bitmask cover search, ``_cover``:
 is the relation a union of at most d maximal all-ones rectangles, or boxes?
 A cover found becomes a one-parameter certificate through the labeled-union
 builder of ``reducers``: each rectangle or box gets its own parameter value.
-The box decider reads the census's cylinder kernel: its cells are the bits
-of ``_CensusSpace(d, 3)``, and each cylinder is a shift of an axis mask.
-One budget, ``max_search_nodes``, bounds the time of both deciders: it caps
-the candidate boxes, the rectangle closure's AND steps and the cover nodes.
-
-The join decider's certificate is its test: building the certificate over
-the (n-1)-projections joins them once, and a "no" fails its verification.
+The box decider lists only the maximal boxes (``_maximal_boxes``, the
+triadic concepts of the relation), from per-value subset tables.  One
+budget, ``max_search_nodes``, bounds the time of both deciders: it caps the
+rectangle closure's AND steps and the cover nodes, and refuses a box search
+whose (2^d - 1)^3 boxes exceed it.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import random
 import sys
 from dataclasses import asdict, dataclass
@@ -88,8 +97,21 @@ def _split(size, attrs: tuple[str, ...]) -> Optional[tuple[tuple[str, ...], ...]
 def is_degenerate(rel: Relation) -> Optional[tuple[tuple[str, ...], tuple[str, ...]]]:
     """A witnessing nontrivial bipartition over which the relation is a
     Cartesian product, or None.  Bipartitions suffice: any finer
-    factorization refines some bipartition."""
-    return _split(core.projection_sizes(rel), rel.attrs)
+    factorization refines some bipartition.  Up to ``_BATCH_BITS`` cells the
+    test is cyl(pi_A) & cyl(pi_B) == R on the relation's mask, with each
+    cylinder saturated once (``_CensusSpace.sat``); above, it is
+    |pi_A| * |pi_B| = |R| on the projection sizes."""
+    d, n = rel.domain.size, rel.arity
+    if d ** n > _BATCH_BITS:
+        return _split(core.projection_sizes(rel), rel.attrs)
+    space, mask = _CensusSpace(d, n), _mask(rel)
+    full = (1 << n) - 1
+    sats = {full: mask}
+    for left, right in _bipartitions(range(n)):
+        kept = sum(1 << i for i in left)
+        if space.sat(sats, kept, space.axes) & space.sat(sats, full ^ kept, space.axes) == mask:
+            return tuple(rel.attrs[i] for i in left), tuple(rel.attrs[i] for i in right)
+    return None
 
 
 def finest_factorization(rel: Relation) -> tuple[tuple[str, ...], ...]:
@@ -125,16 +147,26 @@ def is_join_reducible(rel: Relation) -> Optional[ReductionCertificate]:
     """Exact decision via the canonical test: R is join reducible iff it
     equals the join of all its (n-1)-ary projections.  (Any join
     decomposition can be coarsened to that cover by enlarging factors,
-    and factors may be replaced by projections.)  The certificate over
-    those projections is the test: building it joins them once, and it
-    fails to verify exactly when R is not join reducible.  The join
-    always contains R, so a "no" is refused on its row count."""
+    and factors may be replaced by projections.)  Up to ``_BATCH_BITS``
+    cells a "no" is refused on the relation's mask, where that join is the
+    AND of n saturations, with no join built.  A "yes" is the certificate
+    over those projections, which joins them once as it verifies; above the
+    mask limit that certificate is the test, failing to verify exactly when
+    R is not join reducible (the join always contains R, so a "no" is
+    refused on its row count)."""
     if rel.arity < 2:
         raise PreconditionError("join reducibility needs arity >= 2")
-    try:
-        return _projection_join(rel, (rel.scheme - {i} for i in rel.attrs))
-    except VerificationError:
+    schemes = [rel.scheme - {a} for a in rel.attrs]
+    d, n = rel.domain.size, rel.arity
+    if d ** n > _BATCH_BITS:
+        try:
+            return _projection_join(rel, schemes)
+        except VerificationError:
+            return None
+    mask = _mask(rel)
+    if _joined(mask, _CensusSpace(d, n).axes) != mask:
         return None
+    return _projection_join(rel, schemes)
 
 
 @dataclass(frozen=True)
@@ -333,14 +365,10 @@ def one_param_ternary_projoin(rel: Relation) -> Optional[ReductionCertificate]:
     be a union of at most d unary-product boxes.  Without the hypothesis
     a negative answer would not be conclusive, so we refuse.
 
-    Cell i of D^3 in sorted order is bit i, as in ``_CensusSpace(d, 3)``,
-    whose axes give the cylinder of value v on coordinate k (cells whose
-    k-th value is v) as ``zero << v*s_k``; the cylinder of a subset is the
-    OR of its values', one OR from the subset without its lowest element,
-    and a box A x B x C is the AND of three cylinders.  Every maximal box
-    has C = C_max(A, B) = {v : A x B x {v} inside R}, so only the boxes
-    (A, B, C_max) are candidates, found with d tests per pair (A, B):
-    (2^d-1)^2 * d tests where all boxes would take (2^d-1)^3.
+    A cover needs only the maximal boxes (``_maximal_boxes``), searched as
+    masks on ``_CensusSpace(d, 3)`` in the order of their sides' values.
+    The search is refused where all (2^d-1)^3 boxes would exceed
+    ``max_search_nodes``.
     """
     if rel.arity != 3:
         raise PreconditionError("one-parameter box decision is for ternaries")
@@ -356,42 +384,65 @@ def one_param_ternary_projoin(rel: Relation) -> Optional[ReductionCertificate]:
     candidates, cap = (2 ** d.size - 1) ** 3, current().max_search_nodes
     if candidates > cap:
         raise CapExceededError(f"box enumeration of {candidates} boxes exceeds cap {cap}")
-    elems = sorted(d.elements)
-    index = {e: i for i, e in enumerate(elems)}
-    # subset cylinders indexed by the subset's bitmask; 0 is the empty set
-    subsets = [tuple(e for i, e in enumerate(elems) if chosen >> i & 1)
-               for chosen in range(2 ** d.size)]
-    single = [[zero] + [zero << shift for shift in shifts]
-              for shifts, zero in _CensusSpace(d.size, 3).axes]
-    cyl = []
-    for values in single:
-        row = [0]
-        for chosen in range(1, 2 ** d.size):
-            low = (chosen & -chosen).bit_length() - 1
-            row.append(row[chosen & (chosen - 1)] | values[low])
-        cyl.append(row)
-    target = sum(1 << (index[x] * d.size + index[y]) * d.size + index[z]
-                 for x, y, z in rel.rows)
-    outside = ~target
-    boxes = []
-    for a in range(1, 2 ** d.size):
-        for b in range(1, 2 ** d.size):
-            ab = cyl[0][a] & cyl[1][b]
-            c = sum(1 << v for v, cyl_v in enumerate(single[2]) if not ab & cyl_v & outside)
-            if c:
-                boxes.append((ab & cyl[2][c], (subsets[a], subsets[b], subsets[c])))
-    # largest first: a box inside another lies inside a maximal one, kept earlier
-    boxes.sort(key=lambda box: -box[0].bit_count())
-    maximal: list[tuple[int, tuple]] = []
-    for mask, sets in boxes:
-        if all(mask | other != other for other, _ in maximal):
-            maximal.append((mask, sets))
-    maximal.sort(key=lambda box: box[1])
-    chosen = _cover(target, [mask for mask, _ in maximal], d.size)
+    target = _mask(rel)
+    boxes = _maximal_boxes(target, d.size)
+    chosen = _cover(target, [mask for mask, _ in boxes], d.size)
     if chosen is None:
         return None
-    cover = ([[(v,) for v in side] for side in maximal[i][1]] for i in chosen)
+    elems = sorted(d.elements)
+    cover = ([[(elems[v],) for v in _values(side)] for side in boxes[i][1]] for i in chosen)
     return _labeled_union(rel, 1, [(a,) for a in rel.attrs], cover)
+
+
+def _values(subset: int) -> list[int]:
+    """The members of a subset of range(d) given as a bitmask, ascending."""
+    return [v for v in range(subset.bit_length()) if subset >> v & 1]
+
+
+def _maximal_boxes(target: int, d: int) -> list[tuple[int, tuple[int, int, int]]]:
+    """The maximal boxes A x B x C inside the ternary ``target``, a mask on
+    ``_CensusSpace(d, 3)`` (cell (x, y, z) is bit (x*d + y)*d + z), each as
+    (mask, (A, B, C)) with its sides as bitmasks of values, sorted by the
+    sides' ascending value lists.
+
+    A box is maximal iff it is closed: C = {z : A x B x {z} inside R}, and
+    likewise for A and B (a triadic concept, Lehmann & Wille 1995).  For
+    each x and nonempty B, T_x[B] is the set of z with {x} x B x {z}
+    inside R, one AND per B from a per-value table.  For a given B, a C
+    closed for some (A, B) is an AND of T_x[B] over some x, and one closure
+    gives its A = {x : C inside T_x[B]}.  Each such (A, B, C) lies in the
+    maximal box (A, B', C) with B' the union of the B found with that A and
+    C (B' is found too, being closed), so no box is tested for
+    containment."""
+    members = [_values(subset) for subset in range(1 << d)]
+    values = (1 << d) - 1
+    # per x and y: the z of the cells (x, y, z) inside R
+    table = [[target >> (x * d + y) * d & values for y in range(d)] for x in range(d)]
+    # per B: T_x[B] for each x, from B without its lowest value
+    t = [[values] * d]
+    for b in range(1, 1 << d):
+        low = members[b][0]
+        t.append([tx & row[low] for tx, row in zip(t[b & (b - 1)], table)])
+    found: dict[tuple[int, int], int] = {}
+    bits = [1 << x for x in range(d)]
+    for b in range(1, 1 << d):
+        closed: set[int] = set()
+        for tx in set(t[b]) - {0}:
+            closed |= {c & tx for c in closed}
+            closed.add(tx)
+        closed.discard(0)
+        for c in closed:
+            a = sum(bit for bit, tx in zip(bits, t[b]) if tx & c == c)
+            found[a, c] = found.get((a, c), 0) | b
+    # a box's mask is C copied to each y in B, then that slice to each x in A
+    spread_y, spread_x = [0], [0]
+    for subset in range(1, 1 << d):
+        low = members[subset][0]
+        spread_y.append(spread_y[subset & (subset - 1)] | 1 << low * d)
+        spread_x.append(spread_x[subset & (subset - 1)] | 1 << low * d * d)
+    boxes = sorted(((members[a], members[b], members[c]), a, b, c)
+                   for (a, c), b in found.items())
+    return [(c * spread_y[b] * spread_x[a], (a, b, c)) for _, a, b, c in boxes]
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +628,7 @@ class _CensusSpace:
     def _count_batch(self, packed: int, ones: int) -> tuple[int, int]:
         """(degenerate, join_reducible) counts of the fields of ``packed``,
         one field per bit of ``ones``, the lowest bit of each field."""
-        joined = -1
-        for shifts, zero in self.batch_axes:
-            joined &= _saturate(packed, shifts, zero)
+        joined = _joined(packed, self.batch_axes)
         # built here, after the saturations: one field's are as long as R
         guard = ones << self.width - 1
         low = guard - ones
@@ -589,21 +638,47 @@ class _CensusSpace:
         jred = pending.bit_count()
         if pending:
             sats = {(1 << self.n) - 1: packed}
+            axes = self.batch_axes
             for a, b in self.bipartitions:
-                pending &= ((self._sat(sats, a) & self._sat(sats, b)) ^ packed) + low
+                pending &= ((self.sat(sats, a, axes) & self.sat(sats, b, axes)) ^ packed) + low
                 if not pending:
                     break
         return jred - pending.bit_count(), jred
 
-    def _sat(self, sats: dict[int, int], kept: int) -> int:
-        """cyl(pi_kept) of the batch, memoized in ``sats``: the saturation
-        of the next larger kept set along the lowest dropped coordinate."""
+    def sat(self, sats: dict[int, int], kept: int, axes) -> int:
+        """cyl(pi_kept) on ``axes`` (``axes`` for one mask, ``batch_axes``
+        for a batch), memoized in ``sats``, which starts as {all
+        coordinates: the masks}: the saturation of the next larger kept set
+        along the lowest dropped coordinate."""
         if kept not in sats:
             dropped = ((1 << self.n) - 1) ^ kept
             j = (dropped & -dropped).bit_length() - 1
-            shifts, zero = self.batch_axes[j]
-            sats[kept] = _saturate(self._sat(sats, kept | 1 << j), shifts, zero)
+            shifts, zero = axes[j]
+            sats[kept] = _saturate(self.sat(sats, kept | 1 << j, axes), shifts, zero)
         return sats[kept]
+
+
+def _joined(x: int, axes) -> int:
+    """The join of the (n-1)-projections of ``x`` on ``axes``: the AND of
+    its saturations along each coordinate."""
+    joined = -1
+    for shifts, zero in axes:
+        joined &= _saturate(x, shifts, zero)
+    return joined
+
+
+def _mask(rel: Relation) -> int:
+    """The rows of ``rel`` as one mask on ``_CensusSpace(d, n)``: a row whose
+    values have the indices i_1, ..., i_n in the sorted domain is the cell
+    sum_j i_j * d^(n-j).  Built a column at a time."""
+    elems = sorted(rel.domain.elements)
+    cells: Iterable[int] = [0] * len(rel.rows)
+    stride = 1
+    for column in reversed(list(zip(*rel.rows))):
+        weight = {e: i * stride for i, e in enumerate(elems)}
+        cells = map(operator.add, cells, map(weight.__getitem__, column))
+        stride *= len(elems)
+    return sum(map((1).__lshift__, cells))
 
 
 def _check_census(d: int, n: int) -> None:

@@ -11,8 +11,10 @@ Values are validated where they enter: ``Domain(...)`` checks its name and
 element symbols, and the public ``Relation(...)`` constructor -- hence also
 ``Relation.make`` and ``load_relation``, which end in it -- checks the
 attribute names and order, every row's length and every value's domain
-membership, once per relation; ``load_relation`` checks row lengths first,
-so that a bad row is a ``ParseError`` naming its line in the text.  The
+membership, once per relation: the lengths and values by one set test each,
+and a relation failing one is walked row by row to raise on its first bad
+row or value.  ``load_relation`` checks row lengths first, so that a bad row
+is a ``ParseError`` naming its line in the text.  The
 operators (``project``, ``select``, ``rename``, ``complement``, ``standard``,
 ``projoin`` and what is built on them) trust their validated inputs and
 build results with ``_relation``, unchecked; a derived scheme is filtered
@@ -21,9 +23,10 @@ out of a canonical one, not re-sorted.
 Every join goes through one planned loop, ``_projoin``: it joins
 positional ``(attributes, rows)`` parts connected-first, smallest part
 first, keeps only the columns still needed at each step (early
-projection), and sorts the result to canonical order once, at the end.  ``projoin`` feeds it relations, and ``formula.evaluate`` feeds it
-atoms, so a natural join's result never depends on the order its parts
-are given in.
+projection), filters the rows where a part adds no column, and sorts the
+result to canonical order once, at the end.  ``projoin`` feeds it
+relations, and ``formula.evaluate`` feeds it atoms, so a natural join's
+result never depends on the order its parts are given in.
 
 ``projection_sizes`` is the one table of projection cardinalities, read by
 the product, key and universality tests of ``analysis`` and ``dependencies``.
@@ -43,7 +46,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .caps import current
 from .errors import (
@@ -135,12 +138,16 @@ class Relation:
             raise AttributeSchemeError("attributes not in canonical order; use Relation.make")
         arity = len(self.attrs)
         members = self.domain._members
-        for row in self.rows:
-            if len(row) != arity:
-                raise AttributeSchemeError("row length does not match scheme")
-            for v in row:
-                if v not in members:
-                    raise PreconditionError(f"value {v!r} not in domain {self.domain.name!r}")
+        # one length test and one set test; only a failing relation is then
+        # walked row by row, to raise on its first bad row or value
+        if set(map(len, self.rows)) - {arity} or not members.issuperset(
+                itertools.chain.from_iterable(self.rows)):
+            for row in self.rows:
+                if len(row) != arity:
+                    raise AttributeSchemeError("row length does not match scheme")
+                for v in row:
+                    if v not in members:
+                        raise PreconditionError(f"value {v!r} not in domain {self.domain.name!r}")
 
     @staticmethod
     def make(
@@ -329,14 +336,19 @@ def complement(rel: Relation) -> Relation:
 
 def rename(rel: Relation, mapping: Mapping[str, str]) -> Relation:
     """Rename attributes via a bijection on the scheme."""
+    new_attrs, idx = _renaming(rel, mapping)
+    return _relation(rel.domain, new_attrs, frozenset(map(_picker(idx), rel.rows)))
+
+
+def _renaming(rel: Relation, mapping: Mapping[str, str]) -> tuple[tuple[str, ...], list[int]]:
+    """The checked scheme of ``rename(rel, mapping)``, and the position in
+    ``rel``'s rows of each of its attributes' values."""
     if set(mapping) != rel.scheme or len(set(mapping.values())) != rel.arity:
         raise AttributeSchemeError("rename mapping is not a bijection on the scheme")
     new_attrs = canonical_attrs(mapping.values())
     _check_names(new_attrs, "attribute name")
-    # position of old attr carrying each new attr's values
     src = {mapping[a]: i for i, a in enumerate(rel.attrs)}
-    pick = _picker([src[a] for a in new_attrs])
-    return _relation(rel.domain, new_attrs, frozenset(map(pick, rel.rows)))
+    return new_attrs, [src[a] for a in new_attrs]
 
 
 def cartesian(relations: Sequence[Relation]) -> Relation:
@@ -371,12 +383,12 @@ def projoin(relations: Sequence[Relation], keep: Iterable[str]) -> Relation:
 
 def _projoin(
     domain: Domain,
-    parts: Sequence[tuple[tuple[str, ...], Collection[tuple[str, ...]]]],
+    parts: Sequence[tuple[tuple[str, ...], AbstractSet[tuple[str, ...]]]],
     keep: Collection[str],
 ) -> Relation:
-    """The one join loop, on ``(attributes, rows)`` parts: each row a tuple
-    aligned with its part's attributes, which are distinct, in any order.
-    ``keep`` lies in the union of the parts' attributes.
+    """The one join loop, on ``(attributes, rows)`` parts: a set of rows,
+    each a tuple aligned with its part's attributes, which are distinct, in
+    any order.  ``keep`` lies in the union of the parts' attributes.
 
     Starting from TRUE, each step joins the smallest part that shares an
     attribute with the result so far, ties going to the earlier part; a
@@ -386,31 +398,49 @@ def _projoin(
     2021).  A step hashes the part on the shared columns and builds rows
     holding only the columns still needed -- kept, or carried by a part not
     yet joined -- so joining and early projection (Yannakakis 1981) are one
-    pass.  Intermediate columns stay positional; the result is put in
-    canonical attribute order once, at the end."""
+    pass.  Every column so far is still needed at the start of a step, so
+    a step whose part's columns are all bound and all stay needed is a
+    filter: it keeps the rows whose values on them are a row of the part
+    (most steps of a join of projections); the first step, when every
+    column of its part is needed, takes the part's rows as they are.
+    Intermediate columns stay positional; the result is put in canonical
+    attribute order once, at the end."""
     uses: dict[str, int] = {}  # how many parts not yet joined carry each attribute
     for part_attrs, _ in parts:
         for a in part_attrs:
             uses[a] = uses.get(a, 0) + 1
     left = list(range(len(parts)))
+    size = [len(part_rows) for _, part_rows in parts]
     attrs: tuple[str, ...] = ()
     rows: Collection[tuple[str, ...]] = {()}
+    pos: dict[str, int] = {}  # the column of each attribute of ``attrs``
     while left:
-        pos = {a: k for k, a in enumerate(attrs)}
         connected = [i for i in left if not pos.keys().isdisjoint(parts[i][0])]
-        i = min(connected or left, key=lambda j: len(parts[j][1]))
+        i = min(connected or left, key=size.__getitem__)
         left.remove(i)
         part_attrs, part_rows = parts[i]
         for a in part_attrs:
             uses[a] -= 1
+        # every column so far is still needed, so the step drops none iff the
+        # part's columns all stay needed
+        if all(a in keep or uses[a] for a in part_attrs):
+            if all(a in pos for a in part_attrs):  # the part adds no column
+                key = _picker([pos[a] for a in part_attrs])
+                rows = list(itertools.compress(rows, map(part_rows.__contains__, map(key, rows))))
+                continue
+            if not attrs and rows:  # TRUE joined with the whole part
+                attrs, rows = part_attrs, part_rows
+                pos = {a: k for k, a in enumerate(attrs)}
+                continue
         shared = [k for k, a in enumerate(part_attrs) if a in pos]
         extra = [k for k, a in enumerate(part_attrs) if a not in pos and (a in keep or uses[a])]
         head = [k for k, a in enumerate(attrs) if a in keep or uses[a]]
-        part_key, part_extra = _picker(shared), _picker(extra)
+        part_key = _picker(shared)
+        key = _picker([pos[part_attrs[k]] for k in shared])
+        part_extra = _picker(extra)
         index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
         for row in part_rows:
             index.setdefault(part_key(row), []).append(part_extra(row))
-        key = _picker([pos[part_attrs[k]] for k in shared])
         pick_head = _picker(head)
         out: set[tuple[str, ...]] = set()
         for row in rows:
@@ -421,9 +451,9 @@ def _projoin(
                     out.add(start + tail)
         attrs = tuple(attrs[k] for k in head) + tuple(part_attrs[k] for k in extra)
         rows = out
+        pos = {a: k for k, a in enumerate(attrs)}
     final = canonical_attrs(attrs)
     if final != attrs:
-        pos = {a: k for k, a in enumerate(attrs)}
         rows = frozenset(map(_picker([pos[a] for a in final]), rows))
     return _relation(domain, final, frozenset(rows))
 
@@ -487,14 +517,12 @@ def dump_relation(rel: Relation, name: str = "R") -> str:
 
 def load_relation(text: str) -> tuple[str, Relation]:
     """The name and relation of a ``.rel`` text.  Row lengths are checked
-    line by line, so that a bad row is a ``ParseError`` naming its line;
-    the rows are then put in canonical attribute order and validated once,
-    by the ``Relation`` constructor."""
-    lines = []  # (1-based line number in the text, content)
-    for number, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((number, line))
+    first, so that a bad row is a ``ParseError`` naming its line; the rows
+    are then put in canonical attribute order and validated once, by the
+    ``Relation`` constructor."""
+    strip = (lambda raw: raw.split("#", 1)[0].strip()) if "#" in text else str.strip
+    lines = [(number, line)  # (1-based line number in the text, content)
+             for number, line in enumerate(map(strip, text.splitlines()), 1) if line]
     if not lines:
         raise ParseError("empty relation file")
     header = lines[0][1]
@@ -506,15 +534,15 @@ def load_relation(text: str) -> tuple[str, Relation]:
     if len(lines) < 2:
         raise ParseError("missing attribute line")
     attrs = () if lines[1][1] == "." else tuple(lines[1][1].split())
-    rows = []
-    for number, line in lines[2:]:
-        row = () if line == "." else tuple(line.split())
-        if len(row) != len(attrs):
-            raise ParseError(
-                f"line {number}: row length {len(row)} does not match "
-                f"scheme of arity {len(attrs)}"
-            )
-        rows.append(row)
+    rows = [() if line == "." else tuple(line.split()) for _, line in lines[2:]]
+    if set(map(len, rows)) - {len(attrs)}:
+        number, row = next((number, row) for (number, _), row in zip(lines[2:], rows)
+                           if len(row) != len(attrs))
+        raise ParseError(
+            f"line {number}: row length {len(row)} does not match "
+            f"scheme of arity {len(attrs)}"
+        )
     canon = canonical_attrs(attrs)
-    pick = _picker([attrs.index(a) for a in canon])
-    return m.group("name"), Relation(domain, canon, frozenset(map(pick, rows)))
+    if canon != attrs:
+        rows = map(_picker([attrs.index(a) for a in canon]), rows)
+    return m.group("name"), Relation(domain, canon, frozenset(rows))

@@ -19,6 +19,11 @@ connected-first, smallest part first, dropping each bound variable once
 no part left to join carries it.  ``Conj`` splices nested
 conjunctions into one.
 
+A certificate verifies by one evaluation, looking each row of the value up
+in the target through the picker of ``var_map``'s renaming; no renamed copy
+is built.  Text files are read with one unbuffered read and decoded as
+text-mode ``open`` decodes them (``_read_text``).
+
 A formula's structure is computed once per node: ``free_vars`` and
 ``flatten`` store their result on the frozen node the first time they are
 asked (lazily, so ``parse`` pays nothing for it), outside the dataclass
@@ -28,10 +33,12 @@ formulas shares its structure too.
 
 from __future__ import annotations
 
+import errno
 import json
 import locale
 import os
 import re
+import stat
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
@@ -439,16 +446,24 @@ class ReductionCertificate:
     def verify(self) -> None:
         """Raise unless the formula evaluates to the target.  The checks
         run in this order: a closed formula for a non-0-ary target, a value
-        over another domain or with another row count -- refused before the
-        value is renamed -- and the renamed value itself."""
+        over another domain or with another row count, the renaming of the
+        value's scheme by ``var_map`` (as ``core.rename`` checks it), and
+        the renamed rows, each looked up in the target through one picker
+        with no renamed copy built."""
         value = evaluate(self.formula, self.env)
-        if not value.attrs and self.target.attrs:
+        target = self.target
+        if not value.attrs and target.attrs:
             raise VerificationError("closed formula cannot certify a non-0-ary target")
-        if value.domain != self.target.domain or len(value) != len(self.target):
+        if value.domain != target.domain or len(value) != len(target):
             raise VerificationError(_NOT_TARGET)
         if value.attrs:
-            value = core.rename(value, self.var_map)
-        if not core.equal_relations(value, self.target):
+            attrs, idx = core._renaming(value, self.var_map)
+            same = attrs == target.attrs and (
+                value.rows == target.rows if idx == sorted(idx)
+                else all(map(target.rows.__contains__, map(core._picker(idx), value.rows))))
+        else:
+            same = value.rows == target.rows
+        if not same:
             raise VerificationError(_NOT_TARGET)
 
 
@@ -513,13 +528,25 @@ def certificate_verdict(cert: ReductionCertificate, valid: bool) -> CertificateV
 
 
 def _read_text(path: str, what: str) -> str:
-    """The text of ``path``; a missing, unreadable or undecodable file is a
-    ``ParseError`` naming ``what``."""
+    """The text of ``path`` as text-mode ``open`` reads it -- decoded in the
+    locale's encoding, with universal newlines -- from one unbuffered read
+    of the whole file.  A missing, unreadable or undecodable file, or a
+    directory, is a ``ParseError`` naming ``what``, with ``open``'s message."""
     try:
-        with open(path) as fh:
-            return fh.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            st = os.fstat(fd)
+            if stat.S_ISDIR(st.st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            chunks = [os.read(fd, st.st_size + 1)]
+            while chunks[-1]:
+                chunks.append(os.read(fd, 1 << 16))
+        finally:
+            os.close(fd)
+        text = b"".join(chunks).decode(locale.getpreferredencoding(False))
     except (OSError, ValueError) as e:
         raise ParseError(f"cannot read {what}: {e}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _write_text(path: str, text: str) -> None:

@@ -1,4 +1,5 @@
 import json
+import locale
 import os
 
 import pytest
@@ -11,6 +12,7 @@ from relred.formula import (
     Exists,
     MAX_NESTING,
     ReductionCertificate,
+    _read_text,
     _write_text,
     check_certificate,
     classify,
@@ -257,3 +259,43 @@ def test_write_text_finishes_partial_writes(tmp_path, monkeypatch):
     assert len(calls) == len(text.encode())
     _write_text(str(path), text + "y")
     assert path.read_text() == text + "y"
+
+
+def _open_error(path):
+    """The message text-mode ``open`` and ``read`` give for ``path``."""
+    try:
+        with open(path) as fh:
+            fh.read()
+    except (OSError, ValueError) as e:
+        return str(e)
+    raise AssertionError(f"{path} reads")
+
+
+def test_read_text_refuses_a_directory_naming_it(tmp_path):
+    path = str(tmp_path)
+    with pytest.raises(ParseError) as refused:
+        _read_text(path, "relation file")
+    assert str(refused.value) == (
+        f"cannot read relation file: [Errno 21] Is a directory: {path!r}")
+    assert str(refused.value) == f"cannot read relation file: {_open_error(path)}"
+
+
+@pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+                    reason="the message names the locale's codec")
+def test_read_text_refuses_bytes_the_locale_cannot_decode(tmp_path):
+    path = tmp_path / "latin1.rel"
+    path.write_bytes(b"@relation R over D(a,b)\n1\n\xff\n")
+    with pytest.raises(ParseError) as refused:
+        _read_text(str(path), "relation file")
+    assert str(refused.value) == ("cannot read relation file: 'utf-8' codec can't decode "
+                                  "byte 0xff in position 26: invalid start byte")
+    assert str(refused.value) == f"cannot read relation file: {_open_error(path)}"
+
+
+def test_read_text_translates_newlines_as_text_mode_open(tmp_path):
+    path = tmp_path / "crlf.rel"
+    path.write_bytes(b"@relation R over D(a,b)\r\n1 2\r\na b\rb a\r\n\r\n")
+    text = _read_text(str(path), "relation file")
+    assert text == "@relation R over D(a,b)\n1 2\na b\nb a\n\n"
+    with open(path) as fh:
+        assert text == fh.read()

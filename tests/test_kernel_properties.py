@@ -172,13 +172,32 @@ def test_projoin_matches_reference(rels, data):
         core.projoin(rels, keep | {"q"})
 
 
+def _every_other_row(rows, attrs, domain):
+    """A relation over ``attrs`` holding every other of ``rows`` (sets of
+    attribute-value pairs), in sorted order."""
+    kept = sorted(tuple(dict(row)[a] for a in attrs) for row in rows)[::2]
+    return Relation(domain, attrs, frozenset(kept))
+
+
+def _bound_across(rels):
+    """A part whose columns are those of the first two parts, so that it is
+    all bound once they are joined, holding half the rows of their join."""
+    attrs = core.canonical_attrs(set(rels[0].attrs) | set(rels[1].attrs))
+    return _every_other_row(ref_join(rels[:2]), attrs, rels[0].domain)
+
+
 # Parts the join loop must place in any order: the 0-ary TRUE and FALSE, an
-# empty relation, and one over an attribute no other part carries.
+# empty relation, one over an attribute no other part carries, and parts
+# whose columns other parts all carry (a filter step when joined after them).
 EXTRA_PARTS = {
-    "true": core.true_relation,
-    "false": core.false_relation,
-    "empty": lambda d: Relation(d, ("1", "z"), frozenset()),
-    "apart": lambda d: Relation(d, ("z",), frozenset((e,) for e in d.elements[:2])),
+    "true": lambda rels: core.true_relation(rels[0].domain),
+    "false": lambda rels: core.false_relation(rels[0].domain),
+    "empty": lambda rels: Relation(rels[0].domain, ("1", "z"), frozenset()),
+    "apart": lambda rels: Relation(rels[0].domain, ("z",),
+                                   frozenset((e,) for e in rels[0].domain.elements[:2])),
+    "bound": lambda rels: _every_other_row(
+        ref_join(rels[:1]), rels[0].attrs, rels[0].domain),
+    "bound_across": _bound_across,
 }
 
 
@@ -186,7 +205,7 @@ EXTRA_PARTS = {
 @PROPS
 @given(relation_lists(3), st.data())
 def test_projoin_independent_of_part_order(extra, rels, data):
-    rels = rels + [extra(rels[0].domain)]
+    rels = rels + [extra(rels)]
     union = sorted({a for r in rels for a in r.attrs})
     keep = data.draw(st.sets(st.sampled_from(union))) if union else set()
     want = ref_project(ref_join(rels), keep)
