@@ -458,9 +458,8 @@ class ReductionCertificate:
             raise VerificationError(_NOT_TARGET)
         if value.attrs:
             attrs, idx = core._renaming(value, self.var_map)
-            same = attrs == target.attrs and (
-                value.rows == target.rows if idx == sorted(idx)
-                else all(map(target.rows.__contains__, map(core._picker(idx), value.rows))))
+            same = attrs == target.attrs and all(
+                map(target.rows.__contains__, map(core._picker(idx), value.rows)))
         else:
             same = value.rows == target.rows
         if not same:

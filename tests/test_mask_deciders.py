@@ -8,7 +8,8 @@ take both routes; the answers must match ``oracles.degeneracy_witness`` and
 ``oracles.join_cover_reducible``.  ``_maximal_boxes`` must list exactly
 ``oracles.maximal_boxes``, in the order of their sides' values.  Inputs
 include the empty relation, n = 0 and 1, and d = 1.  Two relations of
-2^17 cells, above the real limit, are checked directly.
+2^17 cells, above the real limit, are checked directly, and degeneracy
+above the arity cap, which also bounds its mask route.
 """
 
 import itertools
@@ -28,6 +29,7 @@ from relred.analysis import (
     is_join_reducible,
     one_param_ternary_projoin,
 )
+from relred.caps import Caps, using
 from relred.core import Domain, Relation
 from relred.errors import PreconditionError, ReductionRefused
 from relred.formula import check_certificate
@@ -97,6 +99,17 @@ def test_empty_and_universal_relations_on_both_routes():
                 with mock.patch.object(analysis, "_BATCH_BITS", limit):
                     assert is_degenerate(rel) == (("1",), _names(range(1, n)))
                     assert is_join_reducible(rel) is not None
+
+
+def test_degenerate_above_the_arity_cap_reads_projection_sizes(no_census_space):
+    # its memo would hold up to 2^n - 2 cylinders, so the arity cap bounds
+    # the mask route as it bounds the census; no census space is built
+    rows = {("a", "a", "a", "a"), ("b", "a", "a", "a"), ("a", "b", "b", "a")}
+    rel = Relation.make(Domain("D", ("a", "b")), _names(range(4)), rows)
+    with using(Caps(max_arity=3)):
+        got = is_degenerate(rel)
+    assert got == (("4",), ("1", "2", "3"))
+    assert got == tuple(map(_names, oracles.degeneracy_witness(rows, 4)))
 
 
 def _sides(box):
