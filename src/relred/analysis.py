@@ -25,11 +25,11 @@ built, and proves a "yes" by its certificate over the (n-1)-projections,
 which verifies on construction; the box decider reads the mask's slices.
 Above ``_BATCH_BITS`` cells, and for degeneracy above the arity cap too,
 degeneracy reads ``core.projection_sizes`` (R is a product over (A, B) iff
-|pi_A| * |pi_B| = |R|), and the join decider's
-certificate is its test: building it joins the projections once, and a "no"
-fails its verification.  The finest factorization and the universality
-hypotheses read ``core.projection_sizes`` at every size: pi_X is universal iff
-it has d^|X| rows.
+|pi_A| * |pi_B| = |R|), and the join decider's certificate is its test:
+building it joins the projections once, and a "no" fails its verification.
+The finest factorization and the universality hypotheses read
+``core.projection_sizes`` at every size: pi_X is universal iff it has
+d^|X| rows.
 
 The Boolean-rank decider (two-factor relative products) and the one-parameter
 box decider (ternary projoins) share one bitmask cover search, ``_cover``:
