@@ -23,8 +23,9 @@ The dense deciders run on the same kernel, one relation at a time: up to
 refuses a "no" when the AND of the n saturations is not R, with no join
 built, and proves a "yes" by its certificate over the (n-1)-projections,
 which verifies on construction; the box decider reads the mask's slices.
-Above ``_BATCH_BITS`` cells, and for degeneracy above the arity cap too,
-degeneracy reads ``core.projection_sizes`` (R is a product over (A, B) iff
+Above ``_BATCH_BITS`` cells, and for degeneracy once its memo of up to
+2^n - 2 saturations could pass 2^24 bits, degeneracy reads
+``core.projection_sizes`` (R is a product over (A, B) iff
 |pi_A| * |pi_B| = |R|), and the join decider's certificate is its test:
 building it joins the projections once, and a "no" fails its verification.
 The finest factorization and the universality hypotheses read
@@ -100,12 +101,13 @@ def is_degenerate(rel: Relation) -> Optional[tuple[tuple[str, ...], tuple[str, .
     Cartesian product, or None.  Bipartitions suffice: any finer
     factorization refines some bipartition.  Up to ``_BATCH_BITS`` cells the
     test is cyl(pi_A) & cyl(pi_B) == R on the relation's mask, with each
-    cylinder saturated once (``_CensusSpace.sat``); that memo holds up to
-    2^n - 2 cylinders, one per subset of the scheme, so the arity cap bounds
-    it as it bounds the census's (2 MB at n = 8).  Above either limit the
-    test is |pi_A| * |pi_B| = |R| on the projection sizes."""
+    cylinder saturated once (``_CensusSpace.sat``).  That memo holds up to
+    2^n - 2 cylinders of d^n bits, one per subset of the scheme, so the mask
+    is taken only while d^n * 2^n is at most 2^24 bits (2 MB): d = 4, n = 8
+    is, d = 2, n = 16 is not.  Above either limit the test is
+    |pi_A| * |pi_B| = |R| on the projection sizes."""
     d, n = rel.domain.size, rel.arity
-    if d ** n > _BATCH_BITS or n > current().max_arity:
+    if d ** n > _BATCH_BITS or d ** n << n > 1 << 24:
         return _split(core.projection_sizes(rel), rel.attrs)
     space, mask = _CensusSpace(d, n), _mask(rel)
     full = (1 << n) - 1

@@ -401,10 +401,9 @@ def _projoin(
     pass.  Every column so far is still needed at the start of a step, so
     a step whose part's columns are all bound and all stay needed is a
     filter: it keeps the rows whose values on them are a row of the part
-    (most steps of a join of projections); the first step, when every
-    column of its part is needed, takes the part's rows as they are.
-    Intermediate columns stay positional; the result is put in canonical
-    attribute order once, at the end."""
+    (most steps of a join of projections).  Intermediate columns stay
+    positional; the result is put in canonical attribute order once, at the
+    end."""
     uses: dict[str, int] = {}  # how many parts not yet joined carry each attribute
     for part_attrs, _ in parts:
         for a in part_attrs:
@@ -421,17 +420,12 @@ def _projoin(
         part_attrs, part_rows = parts[i]
         for a in part_attrs:
             uses[a] -= 1
-        # every column so far is still needed, so the step drops none iff the
-        # part's columns all stay needed
-        if all(a in keep or uses[a] for a in part_attrs):
-            if all(a in pos for a in part_attrs):  # the part adds no column
-                key = _picker([pos[a] for a in part_attrs])
-                rows = list(itertools.compress(rows, map(part_rows.__contains__, map(key, rows))))
-                continue
-            if not attrs and rows:  # TRUE joined with the whole part
-                attrs, rows = part_attrs, part_rows
-                pos = {a: k for k, a in enumerate(attrs)}
-                continue
+        # every column so far is still needed, so a part whose columns are
+        # all bound and all stay needed adds no column and drops none
+        if all(a in pos and (a in keep or uses[a]) for a in part_attrs):
+            key = _picker([pos[a] for a in part_attrs])
+            rows = list(itertools.compress(rows, map(part_rows.__contains__, map(key, rows))))
+            continue
         shared = [k for k, a in enumerate(part_attrs) if a in pos]
         extra = [k for k, a in enumerate(part_attrs) if a not in pos and (a in keep or uses[a])]
         head = [k for k, a in enumerate(attrs) if a in keep or uses[a]]

@@ -33,12 +33,10 @@ formulas shares its structure too.
 
 from __future__ import annotations
 
-import errno
 import json
 import locale
 import os
 import re
-import stat
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
@@ -532,17 +530,9 @@ def _read_text(path: str, what: str) -> str:
     of the whole file.  A missing, unreadable or undecodable file, or a
     directory, is a ``ParseError`` naming ``what``, with ``open``'s message."""
     try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            st = os.fstat(fd)
-            if stat.S_ISDIR(st.st_mode):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            chunks = [os.read(fd, st.st_size + 1)]
-            while chunks[-1]:
-                chunks.append(os.read(fd, 1 << 16))
-        finally:
-            os.close(fd)
-        text = b"".join(chunks).decode(locale.getpreferredencoding(False))
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
+        text = data.decode(locale.getpreferredencoding(False))
     except (OSError, ValueError) as e:
         raise ParseError(f"cannot read {what}: {e}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text

@@ -9,7 +9,7 @@ take both routes; the answers must match ``oracles.degeneracy_witness`` and
 ``oracles.maximal_boxes``, in the order of their sides' values.  Inputs
 include the empty relation, n = 0 and 1, and d = 1.  Two relations of
 2^17 cells, above the real limit, are checked directly, and degeneracy
-above the arity cap, which also bounds its mask route.
+on both sides of the 2^24-bit ceiling on its saturation memo.
 """
 
 import itertools
@@ -29,7 +29,6 @@ from relred.analysis import (
     is_join_reducible,
     one_param_ternary_projoin,
 )
-from relred.caps import Caps, using
 from relred.core import Domain, Relation
 from relred.errors import PreconditionError, ReductionRefused
 from relred.formula import check_certificate
@@ -101,15 +100,26 @@ def test_empty_and_universal_relations_on_both_routes():
                     assert is_join_reducible(rel) is not None
 
 
-def test_degenerate_above_the_arity_cap_reads_projection_sizes(no_census_space):
-    # its memo would hold up to 2^n - 2 cylinders, so the arity cap bounds
-    # the mask route as it bounds the census; no census space is built
-    rows = {("a", "a", "a", "a"), ("b", "a", "a", "a"), ("a", "b", "b", "a")}
-    rel = Relation.make(Domain("D", ("a", "b")), _names(range(4)), rows)
-    with using(Caps(max_arity=3)):
-        got = is_degenerate(rel)
-    assert got == (("4",), ("1", "2", "3"))
-    assert got == tuple(map(_names, oracles.degeneracy_witness(rows, 4)))
+def test_degenerate_memo_ceiling_reads_projection_sizes(no_census_space):
+    # d = 2, n = 16 has 2^16 cells, within the mask limit, but a memo of up
+    # to 2^16 - 2 saturations of 2^16 bits each: no census space is built
+    n = 16
+    rows = {(v,) + ("a",) * (n - 1) for v in "ab"}
+    rel = Relation.make(Domain("D", ("a", "b")), _names(range(n)), rows)
+    assert 2 ** n <= _BATCH_BITS
+    assert is_degenerate(rel) == (("1",), _names(range(1, n)))
+
+
+def test_degenerate_at_the_memo_ceiling_takes_the_mask(monkeypatch):
+    # d = 4, n = 8: 2^16 cells and 2^8 saturations, exactly 2^24 bits
+    def refuse(rel):
+        raise AssertionError("projection sizes read")
+
+    monkeypatch.setattr(analysis.core, "projection_sizes", refuse)
+    n = 8
+    rows = {(v,) + ("a",) * (n - 1) for v in "ab"}
+    rel = Relation.make(Domain("D4", tuple("abcd")), _names(range(n)), rows)
+    assert is_degenerate(rel) == (("1",), _names(range(1, n)))
 
 
 def _sides(box):
