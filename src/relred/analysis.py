@@ -7,30 +7,30 @@ testing at most ``max_search_nodes`` relations, every one or a sample.
 The census tests relations by cylinder equality on packed fields: each
 relation is a bitmask over the d^n cells of D^n, a batch packs many masks
 side by side in one int, one guarded field each, and a projection or
-cylinder is a few whole-int shifts per coordinate that serve every field at
-once.  R is join reducible iff the AND of the cylinders of its
+cylinder is a few whole-int shifts per coordinate (``_axes``) that serve
+every field at once.  R is join reducible iff the AND of the cylinders of its
 (n-1)-projections is R, and degenerate iff R = cyl(pi_A) & cyl(pi_B) for
 some bipartition (A, B); one addition tests every field of a difference for
-zero (see ``_CensusSpace``).  Both censuses refuse, before any space is built,
-a row that ``str`` could not print: one whose total 2^(d^n) or counting bound
+zero (see ``_count``).  Both censuses refuse, before any mask is built, a
+row that ``str`` could not print: one whose total 2^(d^n) or counting bound
 has more than 4,300 digits.  So each of their batches holds at least four
 relations.
 
 The dense deciders run on the same kernel, one relation at a time: up to
 ``_BATCH_BITS`` cells, ``_mask`` encodes the relation's rows as one mask on
-``_CensusSpace(d, n)``.  Degeneracy tests the cylinder equality in
-``_bipartitions`` order, on the census's saturation memo; the join decider
+D^n.  Degeneracy and the finest factorization share one product test
+(``_product_test``): a block L + R splits iff cyl(pi_L) & cyl(pi_R) =
+cyl(pi_(L+R)), on the census's saturation memo (``_sat``).  The join decider
 refuses a "no" when the AND of the n saturations is not R, with no join
 built, and proves a "yes" by its certificate over the (n-1)-projections,
 which verifies on construction; the box decider reads the mask's slices.
-Above ``_BATCH_BITS`` cells, and for degeneracy once its memo of up to
-2^n - 2 saturations could pass 2^24 bits, degeneracy reads
-``core.projection_sizes`` (R is a product over (A, B) iff
-|pi_A| * |pi_B| = |R|), and the join decider's certificate is its test:
-building it joins the projections once, and a "no" fails its verification.
-The finest factorization and the universality hypotheses read
-``core.projection_sizes`` at every size: pi_X is universal iff it has
-d^|X| rows.
+Above ``_BATCH_BITS`` cells, and for the product test once its memo of up to
+2^n - 2 saturations could pass 2^24 bits, the product test reads
+``core.projection_sizes`` (|pi_L| * |pi_R| = |pi_(L+R)|), and the join
+decider's certificate is its test: building it joins the projections once,
+and a "no" fails its verification.  The universality hypotheses read
+``core.projection_sizes`` at every size: pi_X is universal iff it has d^|X|
+rows.
 
 The Boolean-rank decider (two-factor relative products) and the one-parameter
 box decider (ternary projoins) share one bitmask cover search, ``_cover``:
@@ -82,51 +82,61 @@ def _bipartitions(attrs: Sequence[str]):
         for combo in itertools.combinations(range(n), size):
             if size == n - size and 0 not in combo:
                 continue  # the complement was already yielded
-            left = tuple(attrs[i] for i in combo)
-            right = tuple(a for a in attrs if a not in set(left))
-            yield left, right
+            yield (tuple(attrs[i] for i in combo),
+                   tuple(a for i, a in enumerate(attrs) if i not in combo))
 
 
-def _split(size, attrs: tuple[str, ...]) -> Optional[tuple[tuple[str, ...], ...]]:
-    """The first bipartition of ``attrs``, in ``_bipartitions`` order, whose
-    two sides' sizes multiply to the size of ``attrs``, or None."""
+def _split(splits, attrs: tuple[str, ...]) -> Optional[tuple[tuple[str, ...], ...]]:
+    """The first bipartition of ``attrs``, in ``_bipartitions`` order, that
+    ``splits`` (a ``_product_test``), or None."""
     for left, right in _bipartitions(attrs):
-        if size(left) * size(right) == size(attrs):
+        if splits(left, right):
             return left, right
     return None
+
+
+def _product_test(rel: Relation):
+    """``splits(left, right)``: is the projection of ``rel`` on two disjoint
+    attribute tuples together the product of its projections on each?
+
+    Up to ``_BATCH_BITS`` cells the test is cyl(pi_L) & cyl(pi_R) ==
+    cyl(pi_(L+R)) on the relation's mask, where cyl(pi_X) is saturated once
+    (``_sat``).  That memo holds up to 2^n - 2 cylinders of d^n bits, one per
+    subset of the scheme, so the mask is taken only while d^n * 2^n is at
+    most 2^24 bits (2 MB): d = 4, n = 8 is, d = 2, n = 16 is not.  Above
+    either limit the test is |pi_L| * |pi_R| = |pi_(L+R)| on the projection
+    sizes."""
+    d, n = rel.domain.size, rel.arity
+    if d ** n > _BATCH_BITS or d ** n << n > 1 << 24:
+        size = core.projection_sizes(rel)
+        return lambda left, right: (
+            size(left) * size(right) == size(core.canonical_attrs(left + right)))
+    bit = {a: 1 << i for i, a in enumerate(rel.attrs)}
+    axes, sats = _axes(d, n), {(1 << n) - 1: _mask(rel)}
+
+    def splits(left: tuple[str, ...], right: tuple[str, ...]) -> bool:
+        kept_l, kept_r = sum(map(bit.__getitem__, left)), sum(map(bit.__getitem__, right))
+        return (_sat(sats, kept_l, axes) & _sat(sats, kept_r, axes)
+                == _sat(sats, kept_l | kept_r, axes))
+
+    return splits
 
 
 def is_degenerate(rel: Relation) -> Optional[tuple[tuple[str, ...], tuple[str, ...]]]:
     """A witnessing nontrivial bipartition over which the relation is a
     Cartesian product, or None.  Bipartitions suffice: any finer
-    factorization refines some bipartition.  Up to ``_BATCH_BITS`` cells the
-    test is cyl(pi_A) & cyl(pi_B) == R on the relation's mask, with each
-    cylinder saturated once (``_CensusSpace.sat``).  That memo holds up to
-    2^n - 2 cylinders of d^n bits, one per subset of the scheme, so the mask
-    is taken only while d^n * 2^n is at most 2^24 bits (2 MB): d = 4, n = 8
-    is, d = 2, n = 16 is not.  Above either limit the test is
-    |pi_A| * |pi_B| = |R| on the projection sizes."""
-    d, n = rel.domain.size, rel.arity
-    if d ** n > _BATCH_BITS or d ** n << n > 1 << 24:
-        return _split(core.projection_sizes(rel), rel.attrs)
-    space, mask = _CensusSpace(d, n), _mask(rel)
-    full = (1 << n) - 1
-    sats = {full: mask}
-    for left, right in _bipartitions(range(n)):
-        kept = sum(1 << i for i in left)
-        if space.sat(sats, kept, space.axes) & space.sat(sats, full ^ kept, space.axes) == mask:
-            return tuple(rel.attrs[i] for i in left), tuple(rel.attrs[i] for i in right)
-    return None
+    factorization refines some bipartition."""
+    return _split(_product_test(rel), rel.attrs)
 
 
 def finest_factorization(rel: Relation) -> tuple[tuple[str, ...], ...]:
     """The finest Cartesian factorization, as a tuple of scheme blocks
     (a single block when the relation is non-degenerate).  Each block is
-    split on the same size table: its projections are the relation's."""
-    size = core.projection_sizes(rel)
+    split on the same product test: its projections are the relation's."""
+    splits = _product_test(rel)
 
     def finest(attrs: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
-        split = _split(size, attrs)
+        split = _split(splits, attrs)
         return (attrs,) if split is None else finest(split[0]) + finest(split[1])
 
     return finest(rel.attrs)
@@ -161,17 +171,15 @@ def is_join_reducible(rel: Relation) -> Optional[ReductionCertificate]:
     refused on its row count)."""
     if rel.arity < 2:
         raise PreconditionError("join reducibility needs arity >= 2")
-    schemes = [rel.scheme - {a} for a in rel.attrs]
     d, n = rel.domain.size, rel.arity
-    if d ** n > _BATCH_BITS:
-        try:
-            return _projection_join(rel, schemes)
-        except VerificationError:
+    if d ** n <= _BATCH_BITS:
+        mask = _mask(rel)
+        if _joined(mask, _axes(d, n)) != mask:
             return None
-    mask = _mask(rel)
-    if _joined(mask, _CensusSpace(d, n).axes) != mask:
+    try:
+        return _projection_join(rel, [rel.scheme - {a} for a in rel.attrs])
+    except VerificationError:
         return None
-    return _projection_join(rel, schemes)
 
 
 @dataclass(frozen=True)
@@ -371,7 +379,7 @@ def one_param_ternary_projoin(rel: Relation) -> Optional[ReductionCertificate]:
     a negative answer would not be conclusive, so we refuse.
 
     A cover needs only the maximal boxes (``_maximal_boxes``), searched as
-    masks on ``_CensusSpace(d, 3)`` in the order of their sides' values.
+    masks on D^3 (``_mask``) in the order of their sides' values.
     The search is refused where all (2^d-1)^3 boxes would exceed
     ``max_search_nodes``.
     """
@@ -406,7 +414,7 @@ def _values(subset: int) -> list[int]:
 
 def _maximal_boxes(target: int, d: int) -> list[tuple[int, tuple[int, int, int]]]:
     """The maximal boxes A x B x C inside the ternary ``target``, a mask on
-    ``_CensusSpace(d, 3)`` (cell (x, y, z) is bit (x*d + y)*d + z), each as
+    D^3 (``_mask``: cell (x, y, z) is bit (x*d + y)*d + z), each as
     (mask, (A, B, C)) with its sides as bitmasks of values, sorted by the
     sides' ascending value lists.
 
@@ -486,7 +494,7 @@ def _census_numbers(d: int, n: int) -> tuple[int, int, int]:
     one of the three has more than ``_MAX_DIGITS`` decimal digits, or more
     than the interpreter's own limit on ``str(int)`` when that is lower: so
     ``str`` prints every admitted row, and every admitted relation, a mask
-    of d^n < 14,285 bits, fits in one field of a ``_CensusSpace`` batch."""
+    of d^n < 14,285 bits, fits in one field of a ``_count`` batch."""
     limit = min(_MAX_DIGITS, sys.get_int_max_str_digits() or _MAX_DIGITS)
     ceiling = 10 ** limit
     bits = ceiling.bit_length()  # 2^e >= ceiling for every e >= bits
@@ -515,13 +523,12 @@ def _repeat(block: int, width: int, count: int) -> int:
     return out
 
 
-# A census batch packs its masks into one int of at most this many bits (or
-# of one field, when a single field is wider: only in a space built directly,
-# since no census admits such a mask).
+# A census batch packs its masks into one int of at most this many bits, and
+# the dense deciders take the mask of a relation of at most this many cells.
 _BATCH_BITS = 1 << 16
 
 
-def _saturate(x: int, shifts: list[int], zero: int) -> int:
+def _saturate(x: int, shifts: Sequence[int], zero: int) -> int:
     """Project ``x`` along one coordinate and take the cylinder back: OR
     its slices into slice 0 (``x >> v*s``, masked to ``zero``), then copy
     slice 0 to every slice (``<< v*s``)."""
@@ -535,20 +542,44 @@ def _saturate(x: int, shifts: list[int], zero: int) -> int:
     return cylinder
 
 
-class _CensusSpace:
-    """Batched bit-parallel tests of n-ary relations on a d-element domain,
-    each relation a mask of d^n bits.
+@functools.cache
+def _axes(d: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Per coordinate j of one mask on D^n: the shifts v*s_j for 0 < v < d,
+    and ``zero_j``, the cells whose j-th value is 0.
 
-    Bit i is the i-th cell of ``itertools.product(range(d), repeat=n)``,
-    so coordinate j has stride s_j = d^(n-1-j).  Saturating X along j
-    (projecting it along j and taking the cylinder back) ORs its d slices
-    along j into slice 0 (``X >> v*s_j`` for v < d, masked to ``zero_j``,
-    the cells whose j-th value is 0) and copies slice 0 back to every
-    slice (``<< v*s_j``): about 2d shifts and ORs on the whole mask.
+    Bit i of a mask is the i-th cell of ``itertools.product(range(d),
+    repeat=n)``, so coordinate j has stride s_j = d^(n-1-j).  Saturating X
+    along j (projecting it along j and taking the cylinder back) ORs its d
+    slices along j into slice 0 (``X >> v*s_j`` for v < d, masked to
+    ``zero_j``) and copies slice 0 back to every slice (``<< v*s_j``): about
+    2d shifts and ORs on the whole mask."""
+    return tuple(
+        (tuple(v * s for v in range(1, d)), _repeat((1 << s) - 1, d * s, d ** j))
+        for j, s in enumerate(d ** (n - 1 - j) for j in range(n))
+    )
 
-    ``count`` tests many masks per big-int operation (broadword computing,
-    Knuth, TAOCP 4A, 7.1.3).  A batch packs its masks side by side in one
-    int, one field of ``width`` bits per mask:
+
+def _sat(sats: dict[int, int], kept: int, axes) -> int:
+    """cyl(pi_kept) on ``axes``, those of one mask or of a batch, with n =
+    ``len(axes)``, memoized in ``sats``, which starts as {all n coordinates:
+    the masks}: the saturation of the next larger kept set along the lowest
+    dropped coordinate."""
+    if kept not in sats:
+        dropped = ((1 << len(axes)) - 1) ^ kept
+        j = (dropped & -dropped).bit_length() - 1
+        shifts, zero = axes[j]
+        sats[kept] = _saturate(_sat(sats, kept | 1 << j, axes), shifts, zero)
+    return sats[kept]
+
+
+def _count(d: int, n: int, masks: Iterable[int]) -> tuple[int, int]:
+    """How many of ``masks``, n-ary relations on a d-element domain each
+    below 2^(d^n), are degenerate, and how many join reducible.
+
+    The masks are tested many per big-int operation (broadword computing,
+    Knuth, TAOCP 4A, 7.1.3), in batches in their order.  A batch packs its
+    masks side by side in one int, one field of ``width`` bits per mask:
+    mask i is bits i*width to (i+1)*width - 1.
     - A field holds the d^n cells, then zero bits up to a whole byte (so
       that masks pack as bytes); there is at least one, and the field's top
       bit is its guard, which every operation leaves 0.
@@ -559,108 +590,55 @@ class _CensusSpace:
     - A field holding x is zero iff x + 2^(width-1) - 1 leaves its guard
       bit clear: the sum stays below 2^width, so no carry leaves the field,
       and ``(X + low) & guard`` marks every nonzero field of X at once.
-    - A batch holds ``fields`` masks, as many as fit in ``_BATCH_BITS``
-      bits, or one mask when a field is wider.  The censuses admit only
-      masks of fewer than 14,285 bits, so each of their operations is on at
-      most 8 kilobytes, and the degeneracy test memoizes at most 2^n - 2
-      saturations of its batch: about 2 MB at n = 8.
+    - A batch holds as many masks as fit in ``_BATCH_BITS`` bits, and a
+      mask wider than that is refused before anything is built.  The
+      censuses admit only masks of fewer than 14,285 bits, so each batch
+      holds at least four, each operation is on at most 8 kilobytes, and the
+      degeneracy test memoizes at most 2^n - 2 saturations of its batch:
+      about 2 MB at n = 8.
 
     R is join reducible iff it equals the join of its (n-1)-projections,
     i.e. the AND of their n cylinders.  R is degenerate iff some
     bipartition (A, B) of the coordinates has R = cyl(pi_A) & cyl(pi_B):
     R lies inside pi_A x pi_B, so this is |pi_A| * |pi_B| = |R|.  A
     Cartesian product is a join reduction, so degeneracy is tested only in
-    a batch with a join-reducible field, and only until every such field
-    is found degenerate or every bipartition is tried."""
-
-    def __init__(self, d: int, n: int):
-        self.n = n
-        self.ncells = d ** n
-        # per coordinate j: the shifts v*s_j for 0 < v < d, and the cells
-        # whose j-th value is 0
-        self.axes = [
-            ([v * s for v in range(1, d)], _repeat((1 << s) - 1, d * s, d ** j))
-            for j, s in enumerate(d ** (n - 1 - j) for j in range(n))
-        ]
-        self.width = (self.ncells // 8 + 1) * 8
-        self.fields = max(1, _BATCH_BITS // self.width)
-
-    # The batch constants are built on the first count: the box decider
-    # reads only the axes.
-
-    @functools.cached_property
-    def batch_axes(self) -> list[tuple[list[int], int]]:
-        """The axes of a full batch."""
-        return [(shifts, _repeat(zero, self.width, self.fields)) for shifts, zero in self.axes]
-
-    @functools.cached_property
-    def ones(self) -> int:
-        """The lowest bit of every field of a full batch."""
-        return _repeat(1, self.width, self.fields)
-
-    @functools.cached_property
-    def bipartitions(self) -> list[tuple[int, int]]:
-        """Each unordered bipartition of the coordinates once, as two kept
-        sets (coordinate bitmasks), one-coordinate factors first."""
-        full = (1 << self.n) - 1
-        return sorted(((full ^ b, b) for b in range(1, full) if b < full ^ b),
-                      key=lambda pair: min(pair[0].bit_count(), pair[1].bit_count()))
-
-    def count(self, masks: Iterable[int]) -> tuple[int, int]:
-        """How many of ``masks`` (each below 2^(d^n)) are degenerate, and
-        how many join reducible.  They are tested in batches of ``fields``
-        masks in their order; mask i of a batch is its field i, bits
-        i*width to (i+1)*width - 1."""
-        deg = jred = 0
-        if self.n < 2:
-            return deg, jred
-        nbytes = self.width // 8
-        masks = iter(masks)
-        while batch := list(itertools.islice(masks, self.fields)):
-            packed = int.from_bytes(
-                b"".join([mask.to_bytes(nbytes, "little") for mask in batch]), "little")
-            ones = self.ones >> (self.fields - len(batch)) * self.width
-            batch_deg, batch_jred = self._count_batch(packed, ones)
-            deg += batch_deg
-            jred += batch_jred
+    a batch with a join-reducible field, in ``_bipartitions`` order, and
+    only until every such field is found degenerate or every bipartition is
+    tried."""
+    width = (d ** n // 8 + 1) * 8
+    fields = _BATCH_BITS // width
+    if not fields:
+        raise PreconditionError(
+            f"a mask of {d ** n} cells does not fit a census batch of {_BATCH_BITS} bits")
+    deg = jred = 0
+    if n < 2:
         return deg, jred
-
-    def classify(self, mask: int) -> tuple[bool, bool]:
-        """(degenerate, join_reducible) for the one relation ``mask``."""
-        deg, jred = self.count([mask])
-        return deg == 1, jred == 1
-
-    def _count_batch(self, packed: int, ones: int) -> tuple[int, int]:
-        """(degenerate, join_reducible) counts of the fields of ``packed``,
-        one field per bit of ``ones``, the lowest bit of each field."""
-        joined = _joined(packed, self.batch_axes)
-        # built here, after the saturations: one field's are as long as R
-        guard = ones << self.width - 1
+    axes = [(shifts, _repeat(zero, width, fields)) for shifts, zero in _axes(d, n)]
+    bipartitions = [(sum(1 << i for i in left), sum(1 << i for i in right))
+                    for left, right in _bipartitions(range(n))]
+    full_ones = _repeat(1, width, fields)  # the lowest bit of every field
+    nbytes = width // 8
+    masks = iter(masks)
+    while batch := list(itertools.islice(masks, fields)):
+        packed = int.from_bytes(
+            b"".join([mask.to_bytes(nbytes, "little") for mask in batch]), "little")
+        joined = _joined(packed, axes)
+        ones = full_ones >> (fields - len(batch)) * width
+        guard = ones << width - 1
         low = guard - ones
         # the guard bits of the join-reducible fields, then of those not
         # yet found degenerate
         pending = guard ^ (((joined ^ packed) + low) & guard)
-        jred = pending.bit_count()
+        batch_jred = pending.bit_count()
         if pending:
-            sats = {(1 << self.n) - 1: packed}
-            axes = self.batch_axes
-            for a, b in self.bipartitions:
-                pending &= ((self.sat(sats, a, axes) & self.sat(sats, b, axes)) ^ packed) + low
+            sats = {(1 << n) - 1: packed}
+            for a, b in bipartitions:
+                pending &= ((_sat(sats, a, axes) & _sat(sats, b, axes)) ^ packed) + low
                 if not pending:
                     break
-        return jred - pending.bit_count(), jred
-
-    def sat(self, sats: dict[int, int], kept: int, axes) -> int:
-        """cyl(pi_kept) on ``axes`` (``axes`` for one mask, ``batch_axes``
-        for a batch), memoized in ``sats``, which starts as {all
-        coordinates: the masks}: the saturation of the next larger kept set
-        along the lowest dropped coordinate."""
-        if kept not in sats:
-            dropped = ((1 << self.n) - 1) ^ kept
-            j = (dropped & -dropped).bit_length() - 1
-            shifts, zero = axes[j]
-            sats[kept] = _saturate(self.sat(sats, kept | 1 << j, axes), shifts, zero)
-        return sats[kept]
+        jred += batch_jred
+        deg += batch_jred - pending.bit_count()
+    return deg, jred
 
 
 def _joined(x: int, axes) -> int:
@@ -673,9 +651,10 @@ def _joined(x: int, axes) -> int:
 
 
 def _mask(rel: Relation) -> int:
-    """The rows of ``rel`` as one mask on ``_CensusSpace(d, n)``: a row whose
-    values have the indices i_1, ..., i_n in the sorted domain is the cell
-    sum_j i_j * d^(n-j).  Built a column at a time."""
+    """The rows of ``rel`` as one mask on D^n, in the cell order of
+    ``_axes``: a row whose values have the indices i_1, ..., i_n in the
+    sorted domain is the cell sum_j i_j * d^(n-j).  Built a column at a
+    time."""
     elems = sorted(rel.domain.elements)
     cells: Iterable[int] = [0] * len(rel.rows)
     stride = 1
@@ -711,7 +690,7 @@ def census(d: int, n: int) -> CensusRow:
             "sample instead (relred census --sample)"
         )
     total, bound_ndeg, bound_njred = _census_numbers(d, n)
-    deg, jred = _CensusSpace(d, n).count(range(total))
+    deg, jred = _count(d, n, range(total))
     assert deg <= bound_ndeg, "degenerate count exceeds its counting bound"
     assert jred <= bound_njred, "join-reducible count exceeds its counting bound"
     assert deg <= jred, "every Cartesian factorization is a join reduction"
@@ -729,9 +708,8 @@ def census_sampled(d: int, n: int, samples: int, seed: int = 0) -> CensusRow:
     if samples > cap:
         raise CapExceededError(f"sampled census of {samples} relations exceeds cap {cap}")
     total, bound_ndeg, bound_njred = _census_numbers(d, n)
-    space = _CensusSpace(d, n)
     rng = random.Random(seed)
-    deg, jred = space.count(rng.getrandbits(space.ncells) for _ in range(samples))
+    deg, jred = _count(d, n, (rng.getrandbits(d ** n) for _ in range(samples)))
     return CensusRow(d, n, total, deg, jred, bound_ndeg, bound_njred,
                      mode="sampled", samples=samples)
 

@@ -34,12 +34,12 @@ def rel_h(d3):
 
 @pytest.fixture
 def no_census_space(monkeypatch):
-    """Fail instead of materialising D^n, so that a missing cap check
-    cannot allocate an uncapped census."""
-    def refuse(d, n):
-        raise AssertionError(f"census space built for d={d}, n={n}")
+    """Fail instead of counting masks of D^n, so that a missing cap check
+    cannot run an uncapped census."""
+    def refuse(d, n, masks):
+        raise AssertionError(f"census counted for d={d}, n={n}")
 
-    monkeypatch.setattr(analysis, "_CensusSpace", refuse)
+    monkeypatch.setattr(analysis, "_count", refuse)
 
 
 def make_rel(domain, n, rows):

@@ -202,7 +202,7 @@ def test_census_digit_limit_before_allocating(no_census_space, run, d, n, caps):
 
 def test_census_sampled_at_the_caps_builds_the_space(no_census_space):
     with using(Caps(max_domain=2, max_arity=3)):
-        with pytest.raises(AssertionError, match="census space built"):
+        with pytest.raises(AssertionError, match="census counted"):
             census_sampled(2, 3, 1)
 
 

@@ -1,14 +1,15 @@
 """The bit-parallel census tests against the per-cell reference.
 
-``_CensusSpace.count`` decides degeneracy and join reducibility for a batch
-of masks packed into one int, one field per mask, with whole-int shifts
-(``classify`` is ``count`` of one mask); ``oracles.PerCellCensus`` decides
+``_count`` decides degeneracy and join reducibility for a batch of masks
+packed into one int, one field per mask, with whole-int shifts (``classify``
+below is ``_count`` of one mask); ``oracles.PerCellCensus`` decides
 them cell by cell.  They are compared on every mask of the small spaces and
 on random masks, thinned by ANDing further draws or built as Cartesian
 products so that both properties occur, of the larger ones: one mask at a
 time, many masks in one batch (where a field's test must not read its
 neighbours, such as an empty field between two full ones), and one mask
-more than a batch holds.
+more than a batch holds.  A mask wider than a batch is refused before
+anything is built.
 """
 
 import itertools
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relred.analysis import _CensusSpace, census, census_sampled
+from relred import analysis
+from relred.analysis import _BATCH_BITS, _axes, _count, census, census_sampled
 from relred.errors import PreconditionError
 
 from oracles import PerCellCensus
@@ -32,6 +34,12 @@ PROPS = settings(
 )
 
 
+def classify(d, n, mask):
+    """(degenerate, join_reducible) for the one relation ``mask``."""
+    deg, jred = _count(d, n, [mask])
+    return deg == 1, jred == 1
+
+
 def reference(d, n, mask):
     oracle = PerCellCensus(d, n)
     return oracle.is_degenerate(mask), oracle.is_join_reducible(mask)
@@ -39,10 +47,10 @@ def reference(d, n, mask):
 
 @pytest.mark.parametrize("d,n", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2)])
 def test_every_mask_matches_per_cell_reference(d, n):
-    space, oracle = _CensusSpace(d, n), PerCellCensus(d, n)
+    oracle = PerCellCensus(d, n)
     for mask in range(2 ** (d ** n)):
         expected = oracle.is_degenerate(mask), oracle.is_join_reducible(mask)
-        assert space.classify(mask) == expected, mask
+        assert classify(d, n, mask) == expected, mask
 
 
 LARGER = [(3, 3), (2, 5), (3, 4), (4, 3), (2, 6), (5, 2)]
@@ -108,14 +116,14 @@ def mask_batches(draw):
 @given(thinned_masks())
 def test_thinned_masks_match_per_cell_reference(case):
     d, n, mask = case
-    assert _CensusSpace(d, n).classify(mask) == reference(d, n, mask)
+    assert classify(d, n, mask) == reference(d, n, mask)
 
 
 @PROPS
 @given(product_masks())
 def test_product_masks_match_per_cell_reference(case):
     d, n, mask = case
-    assert _CensusSpace(d, n).classify(mask) == reference(d, n, mask)
+    assert classify(d, n, mask) == reference(d, n, mask)
 
 
 def expected_counts(d, n, masks):
@@ -128,25 +136,25 @@ def expected_counts(d, n, masks):
 def test_batched_count_matches_per_cell_reference(case):
     # the masks share one batch, one field each
     d, n, masks = case
-    assert _CensusSpace(d, n).count(masks) == expected_counts(d, n, masks)
+    assert _count(d, n, masks) == expected_counts(d, n, masks)
 
 
 def test_count_past_one_batch():
     # one mask more than a batch holds: the last is alone in a second batch
     d, n = 10, 3
-    space = _CensusSpace(d, n)
-    assert space.fields > 4
+    fields = _BATCH_BITS // ((d ** n // 8 + 1) * 8)  # a field is d^n bits and a guard, in bytes
+    assert fields > 4
     full = (1 << d ** n) - 1
     # the product {0,1,2}^3; without a cell or with one more it is a near miss
     cube = sum(1 << (x * d + y) * d + z
                for x, y, z in itertools.product(range(3), repeat=3))
     rng = random.Random(5)
     masks = [full, 0, cube, cube ^ 1] + [rng.getrandbits(d ** n) & rng.getrandbits(d ** n)
-                                         for _ in range(space.fields - 4)]
+                                         for _ in range(fields - 4)]
     for last in [full, cube, 0, cube ^ 1 << 14]:
         batch = masks + [last]
-        assert len(batch) == space.fields + 1
-        assert space.count(batch) == expected_counts(d, n, batch)
+        assert len(batch) == fields + 1
+        assert _count(d, n, batch) == expected_counts(d, n, batch)
 
 
 @pytest.mark.parametrize("d,n,expected", [
@@ -161,13 +169,27 @@ def test_exact_census_counts(d, n, expected):
     assert (row.total, row.degenerate, row.join_reducible) == expected
 
 
-def test_space_at_the_caps_keeps_no_per_cell_list():
-    space = _CensusSpace(8, 8)
-    for value in vars(space).values():
-        if isinstance(value, (list, tuple, dict, set)):
-            assert len(value) < 8 ** 4
-    universal = (1 << 8 ** 8) - 1
-    assert space.classify(universal) == (True, True)
+def test_count_refuses_a_mask_wider_than_a_batch(monkeypatch):
+    # 8^8 cells: no census admits the mask, and nothing is built for it
+    def unbuilt(d, n):
+        raise AssertionError(f"axes built for d={d}, n={n}")
+
+    def unread():
+        raise AssertionError("masks read")
+        yield
+
+    monkeypatch.setattr(analysis, "_axes", unbuilt)
+    with pytest.raises(PreconditionError, match="does not fit a census batch"):
+        _count(8, 8, unread())
+
+
+@pytest.mark.parametrize("d,n", [(4, 8), (2, 16), (6, 5)])
+def test_axes_hold_no_per_cell_list(d, n):
+    # the deciders' largest masks, (4, 8) and (2, 16), and the censuses', (6, 5)
+    axes = _axes(d, n)
+    assert len(axes) == n
+    for shifts, zero in axes:
+        assert len(shifts) == d - 1 and isinstance(zero, int)
 
 
 def test_sampled_census_negative_samples_refused(no_census_space):

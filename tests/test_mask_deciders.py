@@ -1,15 +1,17 @@
 """The dense deciders on the census kernel against plain-set references.
 
-Up to ``analysis._BATCH_BITS`` cells, ``is_degenerate`` and
-``is_join_reducible`` decide on the relation's mask, and above it on
-projection sizes and the join certificate.  Each property runs once with
-the real limit and once with the limit at 0, so that the same relations
-take both routes; the answers must match ``oracles.degeneracy_witness`` and
+Up to ``analysis._BATCH_BITS`` cells, ``is_degenerate``,
+``finest_factorization`` and ``is_join_reducible`` decide on the relation's
+mask, and above it on projection sizes and the join certificate.  Each
+property runs once with the real limit and once with the limit at 0, so
+that the same relations take both routes; the answers must match
+``oracles.degeneracy_witness``, ``oracles.finest_blocks`` and
 ``oracles.join_cover_reducible``.  ``_maximal_boxes`` must list exactly
 ``oracles.maximal_boxes``, in the order of their sides' values.  Inputs
 include the empty relation, n = 0 and 1, and d = 1.  Two relations of
 2^17 cells, above the real limit, are checked directly, and degeneracy
-on both sides of the 2^24-bit ceiling on its saturation memo.
+and the finest factorization on both sides of the 2^24-bit ceiling on
+their saturation memo.
 """
 
 import itertools
@@ -25,6 +27,7 @@ from relred.analysis import (
     _BATCH_BITS,
     _mask,
     _maximal_boxes,
+    finest_factorization,
     is_degenerate,
     is_join_reducible,
     one_param_ternary_projoin,
@@ -73,6 +76,17 @@ def test_degenerate_matches_witness_oracle(limit, case):
 
 @LIMITS
 @PROPS
+@given(relations(st.integers(0, 5)))
+def test_finest_factorization_matches_blocks_oracle(limit, case):
+    domain, n, rows = case
+    rel = Relation.make(domain, _names(range(n)), rows)
+    with mock.patch.object(analysis, "_BATCH_BITS", limit):
+        got = finest_factorization(rel)
+    assert got == tuple(map(_names, oracles.finest_blocks(rows, range(n))))
+
+
+@LIMITS
+@PROPS
 @given(relations(st.integers(1, 4)))
 def test_join_reducible_matches_cover_oracle(limit, case):
     domain, n, rows = case
@@ -100,14 +114,19 @@ def test_empty_and_universal_relations_on_both_routes():
                     assert is_join_reducible(rel) is not None
 
 
-def test_degenerate_memo_ceiling_reads_projection_sizes(no_census_space):
+def test_degenerate_memo_ceiling_reads_projection_sizes(monkeypatch):
     # d = 2, n = 16 has 2^16 cells, within the mask limit, but a memo of up
-    # to 2^16 - 2 saturations of 2^16 bits each: no census space is built
+    # to 2^16 - 2 saturations of 2^16 bits each: no mask is built
+    def refuse(rel):
+        raise AssertionError("mask built")
+
+    monkeypatch.setattr(analysis, "_mask", refuse)
     n = 16
     rows = {(v,) + ("a",) * (n - 1) for v in "ab"}
     rel = Relation.make(Domain("D", ("a", "b")), _names(range(n)), rows)
     assert 2 ** n <= _BATCH_BITS
     assert is_degenerate(rel) == (("1",), _names(range(1, n)))
+    assert finest_factorization(rel) == tuple((name,) for name in _names(range(n)))
 
 
 def test_degenerate_at_the_memo_ceiling_takes_the_mask(monkeypatch):
@@ -120,6 +139,7 @@ def test_degenerate_at_the_memo_ceiling_takes_the_mask(monkeypatch):
     rows = {(v,) + ("a",) * (n - 1) for v in "ab"}
     rel = Relation.make(Domain("D4", tuple("abcd")), _names(range(n)), rows)
     assert is_degenerate(rel) == (("1",), _names(range(1, n)))
+    assert finest_factorization(rel) == tuple((name,) for name in _names(range(n)))
 
 
 def _sides(box):
