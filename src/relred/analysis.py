@@ -33,15 +33,21 @@ and a "no" fails its verification.  The universality hypotheses read
 rows.
 
 The Boolean-rank decider (two-factor relative products) and the one-parameter
-box decider (ternary projoins) share one bitmask cover search, ``_cover``:
-is the relation a union of at most d maximal all-ones rectangles, or boxes?
-A cover found becomes a one-parameter certificate through the labeled-union
-builder of ``reducers``: each rectangle or box gets its own parameter value.
-The box decider lists only the maximal boxes (``_maximal_boxes``, the
-triadic concepts of the relation), from per-value subset tables.  One
-budget, ``max_search_nodes``, bounds the time of both deciders: it caps the
-rectangle closure's AND steps and the cover nodes, and refuses a box search
-whose (2^d - 1)^3 boxes exceed it.
+box decider (ternary projoins) share one mask builder, one concept closure and
+one bitmask cover search, ``_cover``: is the relation a union of at most d
+maximal all-ones rectangles, or boxes?  The matrix of a bipartition (L, R) is
+the relation's mask with L's coordinates first, values in the domain's display
+order, cut into d^|L| rows of d^|R| bits, and it is refused past
+``_BATCH_BITS`` cells; the box decider reads the mask with values in sorted
+order.  A piece is maximal iff it is closed, so ``_concepts``, the AND-closure
+of a list of row masks (the formal concepts), lists the matrix's rectangles at
+once and the boxes one second side at a time (``_maximal_boxes``, the triadic
+concepts).  A cover found becomes a one-parameter certificate through the
+labeled-union builder of ``reducers``, each rectangle or box with its own
+parameter value and its sides decoded by ``_tuples``.  One budget,
+``max_search_nodes``, bounds the time of both deciders: it caps the closure's
+AND steps and the cover nodes, and refuses a box search whose (2^d - 1)^3
+boxes exceed it.
 """
 
 from __future__ import annotations
@@ -112,7 +118,7 @@ def _product_test(rel: Relation):
         return lambda left, right: (
             size(left) * size(right) == size(core.canonical_attrs(left + right)))
     bit = {a: 1 << i for i, a in enumerate(rel.attrs)}
-    axes, sats = _axes(d, n), {(1 << n) - 1: _mask(rel)}
+    axes, sats = _axes(d, n), {(1 << n) - 1: _mask(rel, rel.domain.elements)}
 
     def splits(left: tuple[str, ...], right: tuple[str, ...]) -> bool:
         kept_l, kept_r = sum(map(bit.__getitem__, left)), sum(map(bit.__getitem__, right))
@@ -173,7 +179,7 @@ def is_join_reducible(rel: Relation) -> Optional[ReductionCertificate]:
         raise PreconditionError("join reducibility needs arity >= 2")
     d, n = rel.domain.size, rel.arity
     if d ** n <= _BATCH_BITS:
-        mask = _mask(rel)
+        mask = _mask(rel, rel.domain.elements)
         if _joined(mask, _axes(d, n)) != mask:
             return None
     try:
@@ -207,9 +213,8 @@ def irreducibility_tests(rel: Relation) -> IrreducibilityReport:
     cond_i = (rel.arity >= 2 and len(rel) != d.size ** rel.arity
               and _nonuniversal(rel) is None)
     neg = core.complement(rel)
-    cond_ii = len(neg) > 0 and all(
-        len(core.project(neg, (i,))) < d.size for i in rel.attrs
-    )
+    size = core.projection_sizes(neg)
+    cond_ii = len(neg) > 0 and all(size((i,)) < d.size for i in rel.attrs)
     return IrreducibilityReport(cond_i, cond_ii)
 
 
@@ -220,73 +225,69 @@ def irreducibility_tests(rel: Relation) -> IrreducibilityReport:
 
 @dataclass(frozen=True)
 class BooleanMatrix:
-    """0-1 matrix with rows stored as column bitmasks, remembering which
-    attribute-block value tuples index the rows and columns."""
+    """0-1 matrix with rows stored as column bitmasks."""
 
     row_masks: tuple[int, ...]
     ncols: int
-    row_tuples: tuple[tuple[str, ...], ...] = ()
-    col_tuples: tuple[tuple[str, ...], ...] = ()
 
     @property
     def nrows(self) -> int:
         return len(self.row_masks)
 
 
-def bipartition_matrix(rel: Relation, left: Iterable[str]) -> BooleanMatrix:
-    """The relation as a 0-1 matrix indexed by value tuples of the two
-    blocks of a bipartition of its scheme.  A matrix over ``_RANK_MAX_CELLS``
-    cells is refused before its rows and columns are listed."""
+def _blocks(rel: Relation, left: Iterable[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The two blocks of the bipartition of the scheme with left block ``left``."""
     left_c = core.canonical_attrs(left)
     if not set(left_c) < rel.scheme or not left_c:
         raise AttributeSchemeError("left block must be a nonempty proper subset")
-    right_c = tuple(a for a in rel.attrs if a not in set(left_c))
-    d = rel.domain.size
-    _check_cells(d ** len(left_c) * d ** len(right_c))
-    rows = list(itertools.product(rel.domain.elements, repeat=len(left_c)))
-    cols = list(itertools.product(rel.domain.elements, repeat=len(right_c)))
-    col_index = {t: i for i, t in enumerate(cols)}
-    pick_row = core._picker([rel.attrs.index(a) for a in left_c])
-    pick_col = core._picker([rel.attrs.index(a) for a in right_c])
-    masks = {t: 0 for t in rows}
-    for row in rel.rows:
-        masks[pick_row(row)] |= 1 << col_index[pick_col(row)]
+    return left_c, tuple(a for a in rel.attrs if a not in set(left_c))
+
+
+def bipartition_matrix(rel: Relation, left: Iterable[str]) -> BooleanMatrix:
+    """The relation as a 0-1 matrix over a bipartition of its scheme: its
+    mask with the left block's coordinates first, values in the domain's
+    display order, cut into d^|L| rows of d^|R| bits, so row i and column j
+    are the i-th and j-th value tuples of ``itertools.product`` over each
+    block.  A matrix over ``_BATCH_BITS`` cells is refused before its mask
+    is built."""
+    left_c, right_c = _blocks(rel, left)
+    cells, ncols = rel.domain.size ** rel.arity, rel.domain.size ** len(right_c)
+    _check_cells(cells)
+    # cut as a string of bits, cell 0 last: one shift per row would copy
+    # the whole mask each time
+    bits = format(_mask(rel, rel.domain.elements, left_c + right_c), f"0{cells}b")
     return BooleanMatrix(
-        tuple(masks[t] for t in rows), len(cols), tuple(rows), tuple(cols)
-    )
-
-
-# The Boolean-rank search refuses larger matrices.
-_RANK_MAX_CELLS = 65536
+        tuple(int(bits[j:j + ncols], 2) for j in range(cells - ncols, -1, -ncols)), ncols)
 
 
 def _check_cells(cells: int) -> None:
-    """Refuse a Boolean matrix of more than ``_RANK_MAX_CELLS`` cells."""
-    if cells > _RANK_MAX_CELLS:
-        raise CapExceededError(f"matrix has {cells} cells > cap {_RANK_MAX_CELLS}")
+    """Refuse a Boolean matrix of more cells than a mask may hold."""
+    if cells > _BATCH_BITS:
+        raise CapExceededError(f"matrix has {cells} cells > cap {_BATCH_BITS}")
 
 
-def _maximal_rectangles(m: BooleanMatrix) -> list[tuple[int, int]]:
-    """All maximal all-ones rectangles as (row_mask, col_mask) pairs.
-    Column sets of maximal rectangles are exactly the nonzero AND-closure
-    of the row masks; each such set is closed (the AND of the rows that
-    contain it), so with those rows it is already maximal.  A closure taking
-    more than ``max_search_nodes`` AND steps is refused."""
+def _concepts(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """The formal concepts of ``rows``, a list of column bitmasks: for each
+    nonzero AND c of some of the rows, (the bitmask of the rows that contain
+    c, c).  Each such c is closed (the AND of the rows that contain it), so
+    each pair is a maximal all-ones rectangle.  A closure taking more than
+    ``max_search_nodes`` AND steps, one per set and row, is refused."""
     cap, steps = current().max_search_nodes, 0
     closure: set[int] = set()
-    frontier = {mask for mask in m.row_masks if mask}
+    frontier = distinct = set(rows) - {0}
     while frontier:
-        steps += len(frontier) * m.nrows
+        steps += len(frontier) * len(rows)
         if steps > cap:
             raise CapExceededError(f"rectangle closure exceeds {cap} steps")
         closure |= frontier
-        frontier = {
-            a & b for a in frontier for b in m.row_masks if a & b and a & b not in closure
-        }
-    return sorted(
-        (sum(1 << i for i, mask in enumerate(m.row_masks) if mask & cols == cols), cols)
-        for cols in closure
-    )
+        frontier = {a & b for a in frontier for b in distinct if a & b and a & b not in closure}
+    return [(sum([1 << i for i, row in enumerate(rows) if row & c == c]), c) for c in closure]
+
+
+def _tuples(elems: Sequence[str], k: int, subset: int) -> list[tuple[str, ...]]:
+    """The members of ``subset``, a bitmask over ``itertools.product(elems,
+    repeat=k)``, as value tuples in that order."""
+    return [t for i, t in enumerate(itertools.product(elems, repeat=k)) if subset >> i & 1]
 
 
 def _cover(cells: int, pieces: Sequence[int], budget: int) -> Optional[list[int]]:
@@ -330,7 +331,7 @@ def boolean_rank_at_most(m: BooleanMatrix, k: int) -> Optional[list[tuple[int, i
     if k < 0:
         raise PreconditionError("rank bound must be >= 0")
     _check_cells(m.nrows * m.ncols)
-    rects = _maximal_rectangles(m)
+    rects = sorted(_concepts(m.row_masks))
     pieces = [
         sum(cols << i * m.ncols for i in range(m.nrows) if rows >> i & 1)
         for rows, cols in rects
@@ -348,20 +349,13 @@ def rel_prod_reducible2(
 
     Decided exactly by Boolean rank <= d of the bipartition matrix: the
     parameter t sorts the tuples into at most d all-ones rectangles."""
-    m = bipartition_matrix(rel, left)
-    cover = boolean_rank_at_most(m, rel.domain.size)
+    cover = boolean_rank_at_most(bipartition_matrix(rel, left), rel.domain.size)
     if cover is None:
         return None
-    left_c = core.canonical_attrs(left)
-    right_c = tuple(a for a in rel.attrs if a not in set(left_c))
-    rectangles = (
-        [
-            [t for i, t in enumerate(m.row_tuples) if rmask >> i & 1],
-            [t for j, t in enumerate(m.col_tuples) if cmask >> j & 1],
-        ]
-        for rmask, cmask in cover
-    )
-    return _labeled_union(rel, 1, [left_c, right_c], rectangles)
+    blocks, elems = _blocks(rel, left), rel.domain.elements
+    rectangles = ([_tuples(elems, len(block), side) for block, side in zip(blocks, rect)]
+                  for rect in cover)
+    return _labeled_union(rel, 1, blocks, rectangles)
 
 
 # ---------------------------------------------------------------------------
@@ -397,19 +391,33 @@ def one_param_ternary_projoin(rel: Relation) -> Optional[ReductionCertificate]:
     candidates, cap = (2 ** d.size - 1) ** 3, current().max_search_nodes
     if candidates > cap:
         raise CapExceededError(f"box enumeration of {candidates} boxes exceeds cap {cap}")
-    target = _mask(rel)
+    elems = sorted(d.elements)
+    target = _mask(rel, elems)
     boxes = _maximal_boxes(target, d.size)
     chosen = _cover(target, [mask for mask, _ in boxes], d.size)
     if chosen is None:
         return None
-    elems = sorted(d.elements)
-    cover = ([[(elems[v],) for v in _values(side)] for side in boxes[i][1]] for i in chosen)
+    cover = ([_tuples(elems, 1, side) for side in boxes[i][1]] for i in chosen)
     return _labeled_union(rel, 1, [(a,) for a in rel.attrs], cover)
 
 
 def _values(subset: int) -> list[int]:
     """The members of a subset of range(d) given as a bitmask, ascending."""
     return [v for v in range(subset.bit_length()) if subset >> v & 1]
+
+
+@functools.cache
+def _subsets(d: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+    """Per subset of range(d), as a bitmask: its members ascending, and the
+    factors that copy a box's side C to each y in B (``spread_y[B]``) and
+    that slice to each x in A (``spread_x[A]``) on D^3."""
+    members = tuple(tuple(_values(subset)) for subset in range(1 << d))
+    spread_y, spread_x = [0], [0]
+    for subset in range(1, 1 << d):
+        low = members[subset][0]
+        spread_y.append(spread_y[subset & (subset - 1)] | 1 << low * d)
+        spread_x.append(spread_x[subset & (subset - 1)] | 1 << low * d * d)
+    return members, tuple(spread_y), tuple(spread_x)
 
 
 def _maximal_boxes(target: int, d: int) -> list[tuple[int, tuple[int, int, int]]]:
@@ -421,13 +429,15 @@ def _maximal_boxes(target: int, d: int) -> list[tuple[int, tuple[int, int, int]]
     A box is maximal iff it is closed: C = {z : A x B x {z} inside R}, and
     likewise for A and B (a triadic concept, Lehmann & Wille 1995).  For
     each x and nonempty B, T_x[B] is the set of z with {x} x B x {z}
-    inside R, one AND per B from a per-value table.  For a given B, a C
-    closed for some (A, B) is an AND of T_x[B] over some x, and one closure
-    gives its A = {x : C inside T_x[B]}.  Each such (A, B, C) lies in the
+    inside R, one AND per B from a per-value table.  For a given B, the C
+    closed for some (A, B) are the formal concepts of the d rows T_x[B]
+    (``_concepts``), each with its A = {x : C inside T_x[B]}; a closure of
+    at most 2^d - 1 sets takes at most d(2^d - 1) steps, within the
+    (2^d - 1)^3 boxes the caller admits.  Each such (A, B, C) lies in the
     maximal box (A, B', C) with B' the union of the B found with that A and
     C (B' is found too, being closed), so no box is tested for
     containment."""
-    members = [_values(subset) for subset in range(1 << d)]
+    members, spread_y, spread_x = _subsets(d)
     values = (1 << d) - 1
     # per x and y: the z of the cells (x, y, z) inside R
     table = [[target >> (x * d + y) * d & values for y in range(d)] for x in range(d)]
@@ -437,22 +447,9 @@ def _maximal_boxes(target: int, d: int) -> list[tuple[int, tuple[int, int, int]]
         low = members[b][0]
         t.append([tx & row[low] for tx, row in zip(t[b & (b - 1)], table)])
     found: dict[tuple[int, int], int] = {}
-    bits = [1 << x for x in range(d)]
     for b in range(1, 1 << d):
-        closed: set[int] = set()
-        for tx in set(t[b]) - {0}:
-            closed |= {c & tx for c in closed}
-            closed.add(tx)
-        closed.discard(0)
-        for c in closed:
-            a = sum(bit for bit, tx in zip(bits, t[b]) if tx & c == c)
+        for a, c in _concepts(t[b]):
             found[a, c] = found.get((a, c), 0) | b
-    # a box's mask is C copied to each y in B, then that slice to each x in A
-    spread_y, spread_x = [0], [0]
-    for subset in range(1, 1 << d):
-        low = members[subset][0]
-        spread_y.append(spread_y[subset & (subset - 1)] | 1 << low * d)
-        spread_x.append(spread_x[subset & (subset - 1)] | 1 << low * d * d)
     boxes = sorted(((members[a], members[b], members[c]), a, b, c)
                    for (a, c), b in found.items())
     return [(c * spread_y[b] * spread_x[a], (a, b, c)) for _, a, b, c in boxes]
@@ -650,17 +647,20 @@ def _joined(x: int, axes) -> int:
     return joined
 
 
-def _mask(rel: Relation) -> int:
+def _mask(rel: Relation, elems: Sequence[str], order: Optional[Sequence[str]] = None) -> int:
     """The rows of ``rel`` as one mask on D^n, in the cell order of
-    ``_axes``: a row whose values have the indices i_1, ..., i_n in the
-    sorted domain is the cell sum_j i_j * d^(n-j).  Built a column at a
+    ``_axes``: a row whose values, on the attributes of ``order`` (all of
+    ``rel.attrs``, by default in that order), have the indices i_1, ...,
+    i_n in ``elems`` is the cell sum_j i_j * d^(n-j).  Built a column at a
     time."""
-    elems = sorted(rel.domain.elements)
+    if not rel.rows:
+        return 0
+    columns = dict(zip(rel.attrs, zip(*rel.rows)))
     cells: Iterable[int] = [0] * len(rel.rows)
     stride = 1
-    for column in reversed(list(zip(*rel.rows))):
+    for attr in reversed(order or rel.attrs):
         weight = {e: i * stride for i, e in enumerate(elems)}
-        cells = map(operator.add, cells, map(weight.__getitem__, column))
+        cells = map(operator.add, cells, map(weight.__getitem__, columns[attr]))
         stride *= len(elems)
     return sum(map((1).__lshift__, cells))
 

@@ -187,9 +187,6 @@ class Relation:
         for row in sorted(self.rows):
             yield dict(zip(self.attrs, row))
 
-    def has(self, binding: Mapping[str, str]) -> bool:
-        return tuple(binding[a] for a in self.attrs) in self.rows
-
 
 def _relation(domain: Domain, attrs: tuple[str, ...], rows: frozenset) -> Relation:
     """The trusted constructor: a relation from fields the caller has

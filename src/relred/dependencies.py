@@ -18,13 +18,12 @@ from .errors import AttributeSchemeError
 def validate_partition(
     ground: frozenset[str],
     blocks: Sequence[Iterable[str]],
-    allow_empty: bool = False,
 ) -> tuple[tuple[str, ...], ...]:
     """Check that ``blocks`` partition ``ground`` and return them canonicalized."""
     canon = tuple(canonical_attrs(b) for b in blocks)
     seen: set[str] = set()
     for b in canon:
-        if not b and not allow_empty:
+        if not b:
             raise AttributeSchemeError("empty partition block")
         if seen & set(b):
             raise AttributeSchemeError("partition blocks overlap")

@@ -556,10 +556,9 @@ def ternarity_bounds(
     if n == 4 and nondegenerate and (not uppers or min(uppers) > 2):
         verdicts = []
         try:
-            for left in [
-                (rel.attrs[0], other) for other in rel.attrs[1:]
-            ]:
-                verdicts.append(analysis.rel_prod_reducible2(rel, left))
+            for other in rel.attrs[1:]:
+                matrix = analysis.bipartition_matrix(rel, (rel.attrs[0], other))
+                verdicts.append(analysis.boolean_rank_at_most(matrix, d))
             if any(v is not None for v in verdicts):
                 uppers.append(2)
                 evidence.append({"test": "two-ternary-oracle", "verdict": True})

@@ -592,7 +592,7 @@ def test_rank_cells_cap_before_allocation_exit_4(workdir):
     res = _with_caps("", "-c", limited, "analyze", str(workdir / "R16.rel"),
                      "--relprod2", "1,2,3,4,5,6,7,8")
     assert res.returncode == 4 and res.stdout == ""
-    assert res.stderr == f"cap exceeded: matrix has {8 ** 16} cells > cap {analysis._RANK_MAX_CELLS}\n"
+    assert res.stderr == f"cap exceeded: matrix has {8 ** 16} cells > cap {analysis._BATCH_BITS}\n"
 
 
 def test_relation_row_length_exit_2(runner, workdir):

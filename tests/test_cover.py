@@ -5,10 +5,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relred.analysis import (
     BooleanMatrix,
-    _maximal_rectangles,
+    _concepts,
+    bipartition_matrix,
     boolean_rank_at_most,
     is_join_reducible,
     one_param_ternary_projoin,
@@ -41,7 +44,7 @@ def test_maximal_rectangles_match_brute_force():
     rng = random.Random(1)
     for _ in range(150):
         row_sets, m = _random_matrix(rng)
-        got = _maximal_rectangles(m)
+        got = sorted(_concepts(m.row_masks))
         assert got == sorted(set(got))
         assert {(_bits(r), _bits(c)) for r, c in got} == maximal_rectangles(
             row_sets, m.ncols
@@ -246,11 +249,34 @@ def test_pinned_one_param_d4():
 def _matrix_row_sets(rows, left, right, elems):
     """The bipartition matrix of a relation on positions, one column set per
     row, rows and columns indexed by value tuples in product order."""
-    index = {t: i for i, t in enumerate(itertools.product(elems, repeat=2))}
-    row_sets = [set() for _ in index]
+    row_index, col_index = (
+        {t: i for i, t in enumerate(itertools.product(elems, repeat=len(block)))}
+        for block in (left, right)
+    )
+    row_sets = [set() for _ in row_index]
     for r in rows:
-        row_sets[index[tuple(r[p] for p in left)]].add(index[tuple(r[p] for p in right)])
-    return [frozenset(s) for s in row_sets], len(index)
+        row_sets[row_index[tuple(r[p] for p in left)]].add(
+            col_index[tuple(r[p] for p in right)])
+    return [frozenset(s) for s in row_sets], len(col_index)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_bipartition_matrix_matches_product_order(data):
+    # the matrix is the mask with the left block first, values in display
+    # order: over domains listed in sorted and unsorted order, for every
+    # left block, it must be the plain-set matrix in product order
+    d, n = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 4))
+    elems = tuple(data.draw(st.permutations("abc"[:d])))
+    rows = data.draw(st.sets(st.sampled_from(list(itertools.product(elems, repeat=n)))))
+    rel = Relation.make(Domain("D", elems), [str(p + 1) for p in range(n)], rows)
+    for size in range(1, n):
+        for left in itertools.combinations(range(n), size):
+            right = tuple(p for p in range(n) if p not in left)
+            m = bipartition_matrix(rel, [str(p + 1) for p in left])
+            row_sets, ncols = _matrix_row_sets(rows, left, right, elems)
+            assert m.ncols == ncols
+            assert [_bits(mask) for mask in m.row_masks] == row_sets
 
 
 def _planted_union(rng, elems):

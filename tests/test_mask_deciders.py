@@ -117,7 +117,7 @@ def test_empty_and_universal_relations_on_both_routes():
 def test_degenerate_memo_ceiling_reads_projection_sizes(monkeypatch):
     # d = 2, n = 16 has 2^16 cells, within the mask limit, but a memo of up
     # to 2^16 - 2 saturations of 2^16 bits each: no mask is built
-    def refuse(rel):
+    def refuse(*args):
         raise AssertionError("mask built")
 
     monkeypatch.setattr(analysis, "_mask", refuse)
@@ -156,12 +156,12 @@ def test_maximal_boxes_match_oracle(case):
     want = sorted(_sides([{index[v] for v in side} for side in box])
                   for box in oracles.maximal_boxes(rows, elems))
     rel = Relation.make(domain, _names(range(3)), rows)
-    got = _maximal_boxes(_mask(rel), domain.size)
+    got = _maximal_boxes(_mask(rel, sorted(elems)), domain.size)
     assert [[analysis._values(side) for side in sides] for _, sides in got] == want
     for mask, sides in got:
         cells = {(elems[x], elems[y], elems[z]) for x, y, z in
                  itertools.product(*map(analysis._values, sides))}
-        assert mask == _mask(Relation.make(domain, _names(range(3)), cells))
+        assert mask == _mask(Relation.make(domain, _names(range(3)), cells), sorted(elems))
     if oracles.first_nonuniversal(rows, 3, domain.size) is not None:
         with pytest.raises(ReductionRefused):
             one_param_ternary_projoin(rel)
