@@ -332,13 +332,20 @@ def boolean_rank_at_most(m: BooleanMatrix, k: int) -> Optional[list[tuple[int, i
         raise PreconditionError("rank bound must be >= 0")
     _check_cells(m.nrows * m.ncols)
     rects = sorted(_concepts(m.row_masks))
-    pieces = [
-        sum(cols << i * m.ncols for i in range(m.nrows) if rows >> i & 1)
-        for rows, cols in rects
-    ]
-    cells = sum(mask << i * m.ncols for i, mask in enumerate(m.row_masks))
-    chosen = _cover(cells, pieces, k)
+    # a piece is its columns times its rows spread one bit per row; each
+    # one-cell lies in the concept of its own row, so the pieces' OR is the
+    # matrix
+    spread = _spread(m.ncols)
+    pieces = [cols * int(format(rows, "b").translate(spread), 2) for rows, cols in rects]
+    chosen = _cover(functools.reduce(operator.or_, pieces, 0), pieces, k)
     return None if chosen is None else [rects[i] for i in chosen]
+
+
+@functools.cache
+def _spread(ncols: int) -> dict[int, str]:
+    """The ``str.translate`` table that widens each digit of a binary
+    numeral to ``ncols`` digits, so that bit i moves to bit i * ncols."""
+    return str.maketrans({"0": "0" * ncols, "1": "1".rjust(ncols, "0")})
 
 
 def rel_prod_reducible2(

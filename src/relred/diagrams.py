@@ -6,6 +6,11 @@ formula gives a bipartite projoin graph; collapsing bivalent attribute
 vertices gives the bonding diagram; adding terminal vertices at loose
 ends gives the bond graph, a plain multigraph whose degree statistics
 bound ternarity from below.
+
+Ternarity is bounded from above by bonds the certify pipeline builds: a
+supplied certificate counts as the ternary factors of
+``merge_complete(explicate_certificate(cert))``, a bond that verified when
+it was built.
 """
 
 from __future__ import annotations
@@ -418,24 +423,19 @@ def merge_complete(cert: ReductionCertificate) -> ReductionCertificate:
             params.remove(v)
 
     def find_merge():
-        # multiedges first, then bound unaries, then binaries
+        # multiedges first, then unaries and binaries over one bound
+        # variable, unaries first and each by position
         for i, j in itertools.combinations(range(len(atoms)), 2):
             over = shared_bound(atoms[i], atoms[j])
             if len(over) >= 2:
                 return i, j, over
-        for i, atom in enumerate(atoms):
-            if len(atom.args) == 1 and atom.args[0] in params:
-                for j, other in enumerate(atoms):
-                    if j != i and atom.args[0] in other.args:
-                        return i, j, [atom.args[0]]
-        for i, atom in enumerate(atoms):
-            if len(atom.args) != 2:
-                continue
-            over = [v for v in atom.args if v in params]
-            for v in over:
-                for j, other in enumerate(atoms):
-                    if j != i and v in other.args:
-                        return i, j, [v]
+        small = [i for i, atom in enumerate(atoms) if len(atom.args) <= 2]
+        for i in sorted(small, key=lambda i: len(atoms[i].args)):
+            for v in atoms[i].args:
+                if v in params:
+                    for j, other in enumerate(atoms):
+                        if j != i and v in other.args:
+                            return i, j, [v]
         return None
 
     while True:
@@ -478,27 +478,6 @@ class TernarityReport:
         return json.dumps(asdict(self))
 
 
-def _proter_upper(f: Formula) -> Optional[int]:
-    """The subadditivity bound for a projoin formula: factor ternarities
-    plus branch-point costs.  None when a factor has arity above 3 (its
-    own ternarity is then unknown here)."""
-    params, atoms = flatten(f)
-    total = 0
-    for a in atoms:
-        if len(a.args) > 3:
-            return None
-        if len(a.args) == 3:
-            total += 1
-    slot_count: dict[str, int] = {}
-    for a in atoms:
-        for v in a.args:
-            slot_count[v] = slot_count.get(v, 0) + 1
-    bound = set(params)
-    for v, m in slot_count.items():
-        total += m - 2 if v in bound else m - 1
-    return total
-
-
 def ternarity_bounds(
     rel: Relation,
     certificates: Sequence[ReductionCertificate] = (),
@@ -506,6 +485,12 @@ def ternarity_bounds(
     """Interval [lower, upper] for the minimal number of ternaries in a
     subternaric bond reduction, from degeneracy, key admission, parity,
     the two-ternary oracle (quaternaries), and any supplied certificates.
+
+    Each certificate is explicated into a bond and merged; if no factor
+    of the bond has arity above 3, the merged bond's ternary count is an
+    upper bound.  A certificate that explication or merging refuses (a
+    redundant closed component) gives no bound and is reported
+    "skipped"; one with a wider factor gives neither.
     """
     n = rel.arity
     evidence: list[dict] = []
@@ -543,16 +528,16 @@ def ternarity_bounds(
     for cert in certificates:
         if not core.equal_relations(cert.target, rel):
             raise PreconditionError("certificate target differs from the relation")
-        cls = classify(cert.formula)
-        if cls.is_bond and cls.max_factor_arity <= 3:
-            count = sum(1 for a in cls.factor_arities if a == 3)
-            uppers.append(count)
-            evidence.append({"test": "bond-certificate", "ternaries": count})
-        else:
-            bound = _proter_upper(cert.formula)
-            if bound is not None:
-                uppers.append(bound)
-                evidence.append({"test": "proter-upper", "upper": bound})
+        try:
+            bond = explicate_certificate(cert)
+            if classify(bond.formula).max_factor_arity > 3:
+                continue
+            count = classify(merge_complete(bond).formula).factor_arities.count(3)
+        except PreconditionError:
+            evidence.append({"test": "bond-certificate", "verdict": "skipped"})
+            continue
+        uppers.append(count)
+        evidence.append({"test": "bond-certificate", "ternaries": count})
     if n == 4 and nondegenerate and (not uppers or min(uppers) > 2):
         verdicts = []
         try:

@@ -252,6 +252,28 @@ def test_ternarity_json_prints_blocks_in_split_order(runner, workdir):
     assert json.loads(res.output)["evidence"][0]["blocks"] == [["2"], ["4"], ["1", "3"]]
 
 
+def test_ternarity_of_a_certificate_with_dead_ends(runner, workdir):
+    # explication projects T(x1,t,s) to its first column: a bond with no
+    # ternary, so the interval closes at [0, 0]
+    header = "@relation {} over D2(a,b)\n"
+    target = "1 2 3\na a b\na b a\nb a b\nb b a\n"
+    (workdir / "R.rel").write_text(header.format("R") + target)
+    c = workdir / "C"
+    c.mkdir()
+    (c / "target.rel").write_text(header.format("target") + target)
+    (c / "T.rel").write_text(header.format("T") + "1 2 3\na a b\nb b a\n")
+    (c / "B.rel").write_text(header.format("B") + "1 2\na b\nb a\n")
+    (c / "certificate.json").write_text(json.dumps({
+        "target": "target.rel",
+        "formula": "exists s t . T(x1,t,s) & B(x2,x3)",
+        "env": {"B": "B.rel", "T": "T.rel"},
+        "varmap": {"x1": "1", "x2": "2", "x3": "3"},
+    }))
+    assert run(runner, workdir, "verify", "C").exit_code == 0
+    res = run(runner, workdir, "ternarity", "R.rel", "--certs", "C")
+    assert res.exit_code == 0 and res.output == "ter in [0, 0] (arity 3)\n"
+
+
 def test_analyze_flags(runner, workdir):
     res = run(runner, workdir, "analyze", "NotI3.rel", "--join-reducible")
     assert res.exit_code == 0 and "no" in res.output

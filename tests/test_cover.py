@@ -68,6 +68,31 @@ def test_boolean_rank_matches_brute_force_cover():
             assert set().union(*pieces) == ones
 
 
+def test_boolean_rank_of_tall_matrices_matches_brute_force_cover():
+    # up to 2^8 rows of 1-4 columns, the shape of a bipartition with one or
+    # two right-hand attributes; the reference lists the rectangles of the
+    # transpose, whose rows are the few columns
+    rng = random.Random(3)
+    for _ in range(60):
+        nrows = rng.choice([rng.randint(5, 256), 2 ** rng.randint(3, 8)])
+        ncols, density = rng.randint(1, 4), rng.random()
+        row_sets = [frozenset(j for j in range(ncols) if rng.random() < density)
+                    for _ in range(nrows)]
+        m = BooleanMatrix(tuple(sum(1 << j for j in cols) for cols in row_sets), ncols)
+        col_sets = [frozenset(i for i, cols in enumerate(row_sets) if j in cols)
+                    for j in range(ncols)]
+        rects = {(r, c) for c, r in maximal_rectangles(col_sets, nrows)}
+        assert {(_bits(r), _bits(c)) for r, c in _concepts(m.row_masks)} == rects
+        ones = {(i, j) for i, cols in enumerate(row_sets) for j in cols}
+        pieces = [cells_of(r) for r in rects]
+        for k in range(4):
+            cover = boolean_rank_at_most(m, k)
+            assert (cover is not None) == union_of_at_most(ones, pieces, k)
+            if cover is not None:
+                assert len(cover) <= k
+                assert set().union(*(cells_of((_bits(r), _bits(c))) for r, c in cover)) == ones
+
+
 def _universal_projections(rows, elems):
     return all(
         len(proj(rows, idxs)) == len(elems) ** len(idxs)

@@ -1,6 +1,10 @@
-import pytest
+import itertools
 
-from relred.core import standard
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from relred.core import Domain, Relation, standard
 from relred.diagrams import (
     bond_graph_stats,
     build_projoin_graph,
@@ -13,7 +17,16 @@ from relred.diagrams import (
     to_bonding_diagram,
 )
 from relred.errors import PreconditionError
-from relred.formula import classify, evaluate, parse, render
+from relred.formula import (
+    Atom,
+    ReductionCertificate,
+    classify,
+    evaluate,
+    free_vars,
+    parse,
+    prenex,
+    render,
+)
 from relred.reducers import hypostatic_abstraction, identity_chain
 
 from conftest import make_rel
@@ -179,6 +192,91 @@ def test_ternarity_binary_is_zero(d2):
 def test_ternarity_pairwise_key(rel_h):
     rep = ternarity_bounds(rel_h, [])
     assert rep.lower == rep.upper == 4
+
+
+def test_ternarity_reads_the_explicated_bond(d2):
+    # s and t are dead ends of the one ternary: explication projects T to
+    # its first column, so the bond has no ternary
+    t = make_rel(d2, 3, [("a", "a", "b"), ("b", "b", "a")])
+    b = make_rel(d2, 2, [("a", "b"), ("b", "a")])
+    target = make_rel(d2, 3, [(x,) + r for x in "ab" for r in b.rows])
+    f = parse("exists s t . T(x1,t,s) & B(x2,x3)")
+    cert = ReductionCertificate(target, f, {"T": t, "B": b},
+                                {"x1": "1", "x2": "2", "x3": "3"})
+    rep = ternarity_bounds(target, [cert])
+    assert (rep.lower, rep.upper) == (0, 0)
+    assert rep.evidence[-1] == {"test": "bond-certificate", "ternaries": 0}
+
+
+def test_ternarity_skips_a_closed_component(d2):
+    # P(t) is a component with no free variable: explication refuses it
+    i3 = standard("identity", 3, d2)
+    f = parse("exists t . P(t) & T(x1,x2,x3)")
+    env = {"P": make_rel(d2, 1, [("a",)]), "T": i3}
+    cert = ReductionCertificate(i3, f, env, {"x1": "1", "x2": "2", "x3": "3"})
+    rep = ternarity_bounds(i3, [cert])
+    assert rep.evidence[-1] == {"test": "bond-certificate", "verdict": "skipped"}
+    assert rep.evidence[:-1] == ternarity_bounds(i3, []).evidence
+    assert (rep.lower, rep.upper) == (1, 1)
+
+
+PROPS = settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def projoin_certificates(draw):
+    """A certificate for the value of a random projoin formula: d = 2..3,
+    three or four free variables, up to three bound ones, and atoms of
+    arity 1..4 whose slots may repeat a variable or give a bound variable
+    one slot (a dead end)."""
+    d = draw(st.integers(2, 3))
+    dom = Domain(f"D{d}", tuple("abc"[:d]))
+    free = [f"x{i}" for i in range(1, draw(st.integers(3, 4)) + 1)]
+    names = free + [f"t{i}" for i in range(1, draw(st.integers(0, 3)) + 1)]
+    extra = draw(st.lists(st.sampled_from(names), max_size=8))
+    slots = draw(st.permutations(free + extra))
+    atoms, env = [], {}
+    while slots:
+        k = draw(st.integers(1, min(4, len(slots))))
+        args, slots = tuple(slots[:k]), slots[k:]
+        cells = list(itertools.product(dom.elements, repeat=k))
+        mask = draw(st.integers(0, 2 ** len(cells) - 1))
+        if draw(st.booleans()):
+            mask |= draw(st.integers(0, 2 ** len(cells) - 1))
+        symbol = f"F{len(atoms)}"
+        env[symbol] = Relation.make(
+            dom, tuple(str(i + 1) for i in range(k)),
+            [c for i, c in enumerate(cells) if mask >> i & 1])
+        atoms.append(Atom(symbol, args))
+    used = {v for a in atoms for v in a.args}
+    f = prenex([v for v in names if v not in free and v in used], atoms)
+    return ReductionCertificate(evaluate(f, env), f, env, {v: v for v in free_vars(f)})
+
+
+@PROPS
+@given(projoin_certificates())
+def test_certificate_bound_is_the_merged_bond(cert):
+    rep = ternarity_bounds(cert.target, [cert])
+    entries = [e for e in rep.evidence if e["test"] == "bond-certificate"]
+    assert len(entries) <= 1
+    try:
+        bond = explicate_certificate(cert)
+        wide = classify(bond.formula).max_factor_arity > 3
+        count = None if wide else classify(merge_complete(bond).formula).factor_arities.count(3)
+    except PreconditionError:
+        assert entries == [{"test": "bond-certificate", "verdict": "skipped"}]
+        return
+    if wide:
+        assert entries == []
+    else:
+        assert entries == [{"test": "bond-certificate", "ternaries": count}]
+        assert rep.lower <= rep.upper <= count
 
 
 def test_dot_output_is_stable():
