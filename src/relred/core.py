@@ -14,19 +14,21 @@ attribute names and order, every row's length and every value's domain
 membership, once per relation: the lengths and values by one set test each,
 and a relation failing one is walked row by row to raise on its first bad
 row or value.  ``load_relation`` checks row lengths first, so that a bad row
-is a ``ParseError`` naming its line in the text.  The
+is a ``ParseError`` naming its line in the text, and builds one ``Domain``
+per domain header across the texts of one bundle.  The
 operators (``project``, ``select``, ``rename``, ``complement``, ``standard``,
 ``projoin`` and what is built on them) trust their validated inputs and
 build results with ``_relation``, unchecked; a derived scheme is filtered
 out of a canonical one, not re-sorted.
 
-Every join goes through one planned loop, ``_projoin``: it joins
-positional ``(attributes, rows)`` parts connected-first, smallest part
-first, keeps only the columns still needed at each step (early
-projection), filters the rows where a part adds no column, and sorts the
-result to canonical order once, at the end.  ``projoin`` feeds it
-relations, and ``formula.evaluate`` feeds it atoms, so a natural join's
-result never depends on the order its parts are given in.
+Every join goes through one planned loop, ``_projoin``: it sorts
+positional ``(attributes, rows)`` parts by size once, starts from the
+first part's rows, joins the parts connected-first in that order, keeps
+only the columns still needed at each step (early projection), filters
+the rows where a part adds no column, and sorts the result to canonical
+order once, at the end.  ``projoin`` feeds it relations, and
+``formula.evaluate`` and ``diagrams.merge_complete`` feed it atoms, so a
+natural join's result never depends on the order its parts are given in.
 
 ``projection_sizes`` is the one table of projection cardinalities, read by
 the product, key and universality tests of ``analysis`` and ``dependencies``.
@@ -387,63 +389,82 @@ def _projoin(
     each a tuple aligned with its part's attributes, which are distinct, in
     any order.  ``keep`` lies in the union of the parts' attributes.
 
-    Starting from TRUE, each step joins the smallest part that shares an
-    attribute with the result so far, ties going to the earlier part; a
-    disconnected part is joined only when no connected one is left, so
-    every connected chain of parts is contracted before a Cartesian step,
-    starting from its smallest part (greedy contraction, Gray & Kourtis
+    The parts are ordered once, by a stable sort on their row counts.  The
+    result starts as the first part's rows (TRUE when there is no part),
+    projected only when it drops a column; each later step joins the first
+    part in that order that shares an attribute with the result so far, or
+    else the first part left.  So the smallest part of each connected chain
+    starts it, ties going to the earlier part, and every chain is
+    contracted before a Cartesian step (greedy contraction, Gray & Kourtis
     2021).  A step hashes the part on the shared columns and builds rows
     holding only the columns still needed -- kept, or carried by a part not
     yet joined -- so joining and early projection (Yannakakis 1981) are one
-    pass.  Every column so far is still needed at the start of a step, so
-    a step whose part's columns are all bound and all stay needed is a
-    filter: it keeps the rows whose values on them are a row of the part
-    (most steps of a join of projections).  Intermediate columns stay
-    positional; the result is put in canonical attribute order once, at the
-    end."""
+    pass, and rows are re-picked only when a column drops.  Every column so
+    far is still needed at the start of a step, so a step whose part's
+    columns are all bound and all stay needed is a filter: it keeps the
+    rows whose values on them are a row of the part (most steps of a join
+    of projections).  Intermediate columns stay positional; the result is
+    put in canonical attribute order once, at the end."""
     uses: dict[str, int] = {}  # how many parts not yet joined carry each attribute
     for part_attrs, _ in parts:
         for a in part_attrs:
             uses[a] = uses.get(a, 0) + 1
-    left = list(range(len(parts)))
-    size = [len(part_rows) for _, part_rows in parts]
-    attrs: tuple[str, ...] = ()
-    rows: Collection[tuple[str, ...]] = {()}
-    pos: dict[str, int] = {}  # the column of each attribute of ``attrs``
-    while left:
-        connected = [i for i in left if not pos.keys().isdisjoint(parts[i][0])]
-        i = min(connected or left, key=size.__getitem__)
-        left.remove(i)
-        part_attrs, part_rows = parts[i]
-        for a in part_attrs:
+    order = sorted(parts, key=lambda part: len(part[1]))
+    attrs, rows = order.pop(0) if order else ((), {()})
+    for a in attrs:
+        uses[a] -= 1
+    head = [k for k, a in enumerate(attrs) if a in keep or uses[a]]
+    if len(head) < len(attrs):
+        rows = set(map(_picker(head), rows))
+        attrs = tuple(attrs[k] for k in head)
+    pos = {a: k for k, a in enumerate(attrs)}  # the column of each attribute of ``attrs``
+    while order:
+        for i, (part_attrs, part_rows) in enumerate(order):
+            if not pos.keys().isdisjoint(part_attrs):
+                break
+        else:
+            i = 0
+        part_attrs, part_rows = order.pop(i)
+        shared: list[int] = []
+        extra: list[int] = []
+        drops = False  # whether a shared column is needed no more
+        for k, a in enumerate(part_attrs):
             uses[a] -= 1
-        # every column so far is still needed, so a part whose columns are
-        # all bound and all stay needed adds no column and drops none
-        if all(a in pos and (a in keep or uses[a]) for a in part_attrs):
+            needed = a in keep or uses[a]
+            if a in pos:
+                shared.append(k)
+                drops = drops or not needed
+            elif needed:
+                extra.append(k)
+        if len(shared) == len(part_attrs) and not drops:
             key = _picker([pos[a] for a in part_attrs])
             rows = list(itertools.compress(rows, map(part_rows.__contains__, map(key, rows))))
             continue
-        shared = [k for k, a in enumerate(part_attrs) if a in pos]
-        extra = [k for k, a in enumerate(part_attrs) if a not in pos and (a in keep or uses[a])]
-        head = [k for k, a in enumerate(attrs) if a in keep or uses[a]]
-        part_key = _picker(shared)
-        key = _picker([pos[part_attrs[k]] for k in shared])
+        # the hash key: one shared column's bare value, or a tuple of several
+        if shared:
+            key = itemgetter(*[pos[part_attrs[k]] for k in shared])
+            part_key = itemgetter(*shared)
+        else:
+            key = part_key = _picker(())
         part_extra = _picker(extra)
-        index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        index: dict[object, list[tuple[str, ...]]] = {}
         for row in part_rows:
             index.setdefault(part_key(row), []).append(part_extra(row))
-        pick_head = _picker(head)
+        starts = rows
+        if drops:
+            head = [k for k, a in enumerate(attrs) if a in keep or uses[a]]
+            starts = map(_picker(head), rows)
+            attrs = tuple(attrs[k] for k in head)
         out: set[tuple[str, ...]] = set()
-        for row in rows:
-            tails = index.get(key(row))
+        for row_key, start in zip(map(key, rows), starts):
+            tails = index.get(row_key)
             if tails:
-                start = pick_head(row)
                 for tail in tails:
                     out.add(start + tail)
-        attrs = tuple(attrs[k] for k in head) + tuple(part_attrs[k] for k in extra)
+        attrs += tuple(part_attrs[k] for k in extra)
         rows = out
         pos = {a: k for k, a in enumerate(attrs)}
-    final = canonical_attrs(attrs)
+    final = tuple(sorted(attrs, key=attr_key))  # ``attrs`` are distinct
     if final != attrs:
         rows = frozenset(map(_picker([pos[a] for a in final]), rows))
     return _relation(domain, final, frozenset(rows))
@@ -506,11 +527,14 @@ def dump_relation(rel: Relation, name: str = "R") -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_relation(text: str) -> tuple[str, Relation]:
+def load_relation(text: str, domains: Optional[dict] = None) -> tuple[str, Relation]:
     """The name and relation of a ``.rel`` text.  Row lengths are checked
     first, so that a bad row is a ``ParseError`` naming its line; the rows
     are then put in canonical attribute order and validated once, by the
-    ``Relation`` constructor."""
+    ``Relation`` constructor.  ``domains``, when given, holds the
+    ``Domain`` of each header domain already read, and is shared by the
+    calls of one caller, so that the texts of one bundle validate each of
+    their domains once."""
     strip = (lambda raw: raw.split("#", 1)[0].strip()) if "#" in text else str.strip
     lines = [(number, line)  # (1-based line number in the text, content)
              for number, line in enumerate(map(strip, text.splitlines()), 1) if line]
@@ -520,8 +544,11 @@ def load_relation(text: str) -> tuple[str, Relation]:
     m = _HEADER_RE.match(header)
     if not m:
         raise ParseError(f"bad header line: {header!r}")
-    elems = [e.strip() for e in m.group("elems").split(",") if e.strip()]
-    domain = Domain(m.group("dom"), tuple(elems))
+    domains = {} if domains is None else domains
+    spec = (m.group("dom"), tuple([e.strip() for e in m.group("elems").split(",") if e.strip()]))
+    if spec not in domains:
+        domains[spec] = Domain(*spec)
+    domain = domains[spec]
     if len(lines) < 2:
         raise ParseError("missing attribute line")
     attrs = () if lines[1][1] == "." else tuple(lines[1][1].split())

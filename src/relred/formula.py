@@ -8,6 +8,11 @@ existential quantification -- nothing else.  Grammar:
     atom    := SYMBOL '(' var (',' var)* ')'
 
 with variables ``[a-z][a-z0-9_]*`` and symbols ``[A-Z][A-Za-z0-9_]*``.
+Names are validated where they enter: by ``parse``, which matches each
+one against ``VAR_RE`` or ``SYMBOL_RE``, and by the public ``Atom``
+constructor.  The atoms relred builds from names it has already checked
+-- the parser's, the renamings of ``flatten``, and those of explication,
+merging and the reducers -- are built by ``_atom``, unchecked.
 Evaluation is extensional: an atom's arguments map positionally onto the
 canonical attribute order of the relation bound to its symbol, repeated
 variables select the diagonal, conjunction joins, and quantification
@@ -22,7 +27,10 @@ conjunctions into one.
 A certificate verifies by one evaluation, looking each row of the value up
 in the target through the picker of ``var_map``'s renaming; no renamed copy
 is built.  Text files are read with one unbuffered read and decoded as
-text-mode ``open`` decodes them (``_read_text``).
+text-mode ``open`` decodes them (``_read_text``); the relation files of one
+bundle share one ``Domain`` per domain header, and the manifest is written
+as the text ``json.dumps(manifest, indent=2, sort_keys=True)`` gives, built
+directly.
 
 A formula's structure is computed once per node: ``free_vars`` and
 ``flatten`` store their result on the frozen node the first time they are
@@ -65,6 +73,15 @@ class Atom:
         for v in self.args:
             if not VAR_RE.fullmatch(v):
                 raise PreconditionError(f"bad variable {v!r}")
+
+
+def _atom(symbol: str, args: tuple[str, ...]) -> Atom:
+    """The trusted constructor: an atom on a symbol and variables already
+    known to be valid names, built without running ``__post_init__``."""
+    atom = object.__new__(Atom)
+    object.__setattr__(atom, "symbol", symbol)
+    object.__setattr__(atom, "args", args)
+    return atom
 
 
 @dataclass(frozen=True)
@@ -221,7 +238,7 @@ class _Parser:
             self.eat(",")
             args.append(self.word(VAR_RE, "variable"))
         self.eat(")")
-        return Atom(symbol, tuple(args))
+        return _atom(symbol, tuple(args))
 
 
 def parse(text: str) -> Formula:
@@ -290,9 +307,9 @@ def _atom_part(atom: Atom, env: Environment) -> tuple[tuple[str, ...], frozenset
         raise PreconditionError(
             f"arity mismatch: {atom.symbol} has arity {rel.arity}, atom has {len(atom.args)}"
         )
-    first = {v: atom.args.index(v) for v in atom.args}  # in order of first use
-    if len(first) == len(atom.args):
+    if len(set(atom.args)) == len(atom.args):
         return atom.args, rel.rows
+    first = {v: atom.args.index(v) for v in atom.args}  # in order of first use
     repeats = [(p, first[v]) for p, v in enumerate(atom.args) if first[v] != p]
     pick = core._picker(list(first.values()))
     rows = (r for r in rel.rows if all(r[p] == r[q] for p, q in repeats))
@@ -352,8 +369,8 @@ def flatten(f: Formula) -> tuple[tuple[str, ...], tuple[Atom, ...]]:
 
 def _flatten(f, subst, params, atoms, names):
     if isinstance(f, Atom):
-        args = tuple(subst.get(v, v) for v in f.args)
-        atoms.append(f if args == f.args else Atom(f.symbol, args))
+        args = tuple(map(subst.get, f.args, f.args))
+        atoms.append(f if args == f.args else _atom(f.symbol, args))
     elif isinstance(f, Conj):
         for p in f.parts:
             _flatten(p, subst, params, atoms, names)
@@ -582,15 +599,28 @@ def save_certificate(cert: ReductionCertificate, outdir: str, name: str = "targe
         env_files[symbol] = fname
     formula_text = render(cert.formula)
     _write_text(os.path.join(outdir, "formula.txt"), formula_text + "\n")
-    manifest = {
-        "target": target_file,
-        "formula": formula_text,
-        "env": env_files,
-        "varmap": dict(sorted(cert.var_map.items())),
-    }
+    # the text of json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+    # without the pure-Python encoder that ``indent`` selects
     path = os.path.join(outdir, "certificate.json")
-    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_text(path, (
+        f'{{\n  "env": {_json_strings(env_files)},\n'
+        f'  "formula": {_quote(formula_text)},\n'
+        f'  "target": {_quote(target_file)},\n'
+        f'  "varmap": {_json_strings(cert.var_map)}\n}}\n'
+    ))
     return path
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_strings(mapping: Mapping[str, str]) -> str:
+    """A string-to-string mapping as ``json.dumps(..., indent=2,
+    sort_keys=True)`` writes it as the value of a top-level key."""
+    if not mapping:
+        return "{}"
+    items = ",\n".join(f"    {_quote(k)}: {_quote(v)}" for k, v in sorted(mapping.items()))
+    return f"{{\n{items}\n  }}"
 
 
 def _bundle_file(base: str, fname: str) -> str:
@@ -646,10 +676,11 @@ def load_certificate(path: str) -> ReductionCertificate:
         if not all(isinstance(v, str) for v in manifest[key].values()):
             raise ParseError(f"certificate manifest {key!r} values must be strings")
     base = os.path.dirname(os.path.abspath(path))
+    domains: dict = {}  # one Domain per domain header in this bundle
 
     def load_rel(fname: str) -> Relation:
         text = _read_text(_bundle_file(base, fname), f"bundle file {fname!r}")
-        return core.load_relation(text)[1]
+        return core.load_relation(text, domains)[1]
 
     target = load_rel(manifest["target"])
     env = {sym: load_rel(fname) for sym, fname in manifest["env"].items()}

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 from . import core, dependencies
 from .core import Domain, Relation
 from .errors import AttributeSchemeError, PreconditionError, ReductionRefused
-from .formula import Atom, Conj, ReductionCertificate, prenex
+from .formula import Atom, Conj, ReductionCertificate, _atom, prenex
 
 
 def _target_vars(rel: Relation) -> dict[str, str]:
@@ -63,7 +63,7 @@ def _certificate(
     var = _target_vars(target)
     var_all = dict(var, **params)
     atoms = [
-        Atom(symbol, tuple(var_all[a] for a in factor.attrs))
+        _atom(symbol, tuple(var_all[a] for a in factor.attrs))
         for symbol, factor in env.items()
     ]
     f = prenex(tuple(params.values()), atoms)
@@ -120,7 +120,7 @@ def _caterpillar(vs: Sequence[str], internals: Sequence[str]) -> list[Atom]:
     for u, v in zip(internals, vs[2:-1]):
         seq += [u, v]
     seq.append(vs[-1])
-    return [Atom("I3", tuple(seq[2 * i : 2 * i + 3])) for i in range(len(vs) - 2)]
+    return [_atom("I3", tuple(seq[2 * i : 2 * i + 3])) for i in range(len(vs) - 2)]
 
 
 def key_reduction(rel: Relation, key: Iterable[str]) -> ReductionCertificate:

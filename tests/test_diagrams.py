@@ -16,18 +16,22 @@ from relred.diagrams import (
     ternarity_bounds,
     to_bonding_diagram,
 )
-from relred.errors import PreconditionError
+from relred.errors import PreconditionError, ReductionRefused
 from relred.formula import (
+    SYMBOL_RE,
+    VAR_RE,
     Atom,
+    Conj,
     ReductionCertificate,
     classify,
     evaluate,
+    flatten,
     free_vars,
     parse,
     prenex,
     render,
 )
-from relred.reducers import hypostatic_abstraction, identity_chain
+from relred.reducers import hypostatic_abstraction, identity_chain, key_reduction
 
 from conftest import make_rel
 
@@ -277,6 +281,44 @@ def test_certificate_bound_is_the_merged_bond(cert):
     else:
         assert entries == [{"test": "bond-certificate", "ternaries": count}]
         assert rep.lower <= rep.upper <= count
+
+
+def _atoms(f):
+    if isinstance(f, Atom):
+        yield f
+    else:
+        for part in f.parts if isinstance(f, Conj) else (f.body,):
+            yield from _atoms(part)
+
+
+@settings(PROPS, max_examples=60)
+@given(projoin_certificates(), st.integers(1, 2))
+def test_generated_atoms_have_valid_names(cert, k):
+    """Atoms that relred builds itself skip the name checks of ``Atom``:
+    those of the parser, ``flatten``, explication, merging and the
+    reducers all carry a valid symbol and valid variables."""
+    certs = [cert, identity_chain(cert.target.arity, cert.target.domain)]
+    for reduce in (lambda r: hypostatic_abstraction(r, k),
+                   lambda r: key_reduction(r, r.attrs[:1])):
+        try:
+            certs.append(reduce(cert.target))
+        except ReductionRefused:
+            pass
+    formulas = []
+    for c in certs:
+        formulas += [c.formula, parse(render(c.formula))]
+        try:
+            bond = explicate_certificate(c)
+            formulas.append(bond.formula)
+            if classify(bond.formula).max_factor_arity <= 3:
+                formulas.append(merge_complete(bond).formula)
+        except PreconditionError:
+            pass
+    for f in formulas:
+        for atom in [*_atoms(f), *flatten(f)[1]]:
+            assert SYMBOL_RE.fullmatch(atom.symbol), atom
+            assert all(VAR_RE.fullmatch(v) for v in atom.args), atom
+        assert all(VAR_RE.fullmatch(v) for v in flatten(f)[0])
 
 
 def test_dot_output_is_stable():

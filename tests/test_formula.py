@@ -1,6 +1,7 @@
 import json
 import locale
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -53,6 +54,22 @@ def test_parse_errors():
     for bad in ["", "P(", "exists . P(x)", "p(x)", "P(x) Q(y)", "P(X)"]:
         with pytest.raises(ParseError):
             parse(bad)
+
+
+def test_names_are_checked_by_atom_and_parse():
+    # the parser builds its atoms unchecked, from the names it has matched
+    with pytest.raises(PreconditionError, match=r"^bad relation symbol 'p'$"):
+        Atom("p", ("x",))
+    with pytest.raises(PreconditionError, match=r"^bad variable 'X'$"):
+        Atom("P", ("x", "X"))
+    with pytest.raises(ParseError, match=r"^expected relation symbol \(at position 0\)$"):
+        parse("p(x)")
+    with pytest.raises(ParseError, match=r"^expected variable \(at position 5\)$"):
+        parse("P(x, Y)")
+    with pytest.raises(ParseError, match=r"^expected variable \(at position 7\)$"):
+        parse("exists X . P(x)")
+    with pytest.raises(ParseError, match=r"^expected '\(' \(at position 1\)$"):
+        parse("P\u00e9(x)")
 
 
 DEEP = {
@@ -220,6 +237,46 @@ def test_certificate_bundle_roundtrip(tmp_path, d2):
     assert back.target.rows == cert.target.rows
     assert render(back.formula) == render(cert.formula)
     assert check_certificate(back).valid
+
+
+# attribute and symbol names that JSON escapes: a quote, a backslash, a
+# non-ASCII letter and a control character
+ESCAPED = ('"', "\\", "\u00e9", "\x01")
+
+
+def _manifest_bytes(cert, name="target"):
+    manifest = {
+        "target": f"{name}.rel",
+        "formula": render(cert.formula),
+        "env": {symbol: f"{symbol}.rel" for symbol in cert.env},
+        "varmap": dict(cert.var_map),
+    }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    return text.encode(locale.getpreferredencoding(False))
+
+
+@pytest.mark.parametrize("case", ["escaped", "empty varmap", "empty env", "reducer"])
+def test_manifest_is_the_json_dumps_text(tmp_path, d2, case):
+    if case == "escaped":
+        target = Relation.make(d2, ESCAPED, [("a", "b", "a", "b"), ("b", "a", "b", "a")])
+        factor = Relation.make(d2, ("1", "2"), [("a", "b"), ("b", "a")])
+        cert = ReductionCertificate(
+            target, parse("F(x1,x2) & F(x3,x4) & G(x1,x3)"),
+            {"F": factor, "G": standard("identity", 2, d2), "H\u00e9\"": factor},
+            dict(zip(("x1", "x2", "x3", "x4"), target.attrs)))
+    elif case == "empty varmap":
+        cert = ReductionCertificate(
+            standard("universal", 0, d2), parse("exists y . U(y)"),
+            {"U": standard("universal", 1, d2)}, {})
+    elif case == "empty env":
+        # the writer reads only these four fields; no certificate has no factor
+        cert = SimpleNamespace(target=standard("identity", 1, d2), formula=parse("P(x)"),
+                               env={}, var_map={"x": "1"})
+    else:
+        cert = hypostatic_abstraction(standard("identity", 3, d2), 1)
+    path = save_certificate(cert, str(tmp_path / "bundle"))
+    with open(path, "rb") as fh:
+        assert fh.read() == _manifest_bytes(cert)
 
 
 def test_save_over_a_larger_bundle_rewrites_in_place(tmp_path, d2):

@@ -227,6 +227,105 @@ def test_projoin_keeps_columns_a_later_part_joins_on():
             assert not core.projoin(list(order), keep).rows
 
 
+
+# ---------------------------------------------------------------------------
+# The join loop's edge cases, on positional parts against the reference join
+# ---------------------------------------------------------------------------
+
+D3 = Domain("D", ELEMENTS)
+TRUE_PART = ((), frozenset({()}))
+FALSE_PART = ((), frozenset())
+XY = (("x", "y"), frozenset({("a", "b"), ("b", "b"), ("c", "a")}))
+YZ = (("y", "z"), frozenset({("b", "c"), ("a", "a")}))
+
+
+def keeps(parts):
+    """Every set of the parts' attributes, as a sorted tuple."""
+    union = sorted({a for attrs, _ in parts for a in attrs})
+    return [c for r in range(len(union) + 1) for c in itertools.combinations(union, r)]
+
+
+def check_parts(parts, keep):
+    """``_projoin`` on ``parts``, checked against the reference join."""
+    got = revalidated(core._projoin(D3, parts, keep))
+    want = ref_project(ref_join([Relation.make(D3, a, r) for a, r in parts]), keep)
+    assert got.attrs == core.canonical_attrs(keep)
+    assert as_set(got) == want
+    return got
+
+
+def test_join_loop_of_no_parts_is_true():
+    assert check_parts([], ()).rows == {()}
+
+
+@pytest.mark.parametrize("zero", [TRUE_PART, FALSE_PART], ids=["true", "false"])
+def test_join_loop_with_a_0_ary_part(zero):
+    for parts in itertools.permutations([zero, XY, YZ]):
+        for keep in keeps(parts):
+            assert bool(check_parts(list(parts), keep).rows) == bool(zero[1])
+
+
+def test_join_loop_drops_every_column_of_the_first_part():
+    # the one-row part is first and no other part carries w: it starts the
+    # result as TRUE, or FALSE when it is empty
+    for w_rows in (frozenset({("a",)}), frozenset()):
+        parts = [(("w",), w_rows), XY, YZ]
+        for keep in ((), ("x",), ("x", "z"), ("y",)):
+            assert bool(check_parts(parts, keep).rows) == bool(w_rows)
+
+
+def test_join_loop_with_parts_of_equal_size():
+    parts = [(("x", "y"), frozenset({("a", "b"), ("b", "a")})),
+             (("y", "z"), frozenset({("a", "b"), ("b", "c")})),
+             (("z", "x"), frozenset({("b", "b"), ("c", "a")})),
+             (("w",), frozenset({("a",), ("c",)}))]
+    for order in itertools.permutations(parts):
+        for keep in keeps(parts):
+            check_parts(list(order), keep)
+
+
+class Logged(frozenset):
+    """Rows that note their name in ``log`` when the join loop first reads them."""
+
+    def __new__(cls, rows, name, log):
+        self = super().__new__(cls, rows)
+        self.name, self.log = name, log
+        return self
+
+    def _note(self):
+        if self.name not in self.log:
+            self.log.append(self.name)
+
+    def __iter__(self):
+        self._note()
+        return super().__iter__()
+
+    def __contains__(self, row):
+        self._note()
+        return super().__contains__(row)
+
+
+def test_join_loop_joins_a_disconnected_part_last():
+    # w is no larger than y-z and may come before it, but y-z is connected
+    # to the first part x-y
+    parts = {"apart": (("w",), frozenset({("a",), ("b",)})),
+             "first": (("x", "y"), frozenset({("a", "b")})),
+             "yz": YZ}
+    for order in itertools.permutations(parts):
+        for keep in keeps(parts.values()):
+            log: list[str] = []
+            core._projoin(D3, [(parts[n][0], Logged(parts[n][1], n, log)) for n in order], keep)
+            assert log[-1] == "apart"
+            check_parts([parts[n] for n in order], keep)
+
+
+def test_join_loop_returns_a_single_part_with_its_rows():
+    assert check_parts([XY], ("x", "y")).rows is XY[1]
+    check_parts([(("y", "x"), XY[1])], ("x", "y"))
+    check_parts([XY], ("y",))
+    check_parts([XY], ())
+
+
 VARS = ("u", "v", "w")
 
 
