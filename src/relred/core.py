@@ -47,7 +47,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .caps import current
@@ -80,9 +80,9 @@ def _check_names(names: Iterable[str], what: str) -> None:
 
 def canonical_attrs(attrs: Iterable[str]) -> tuple[str, ...]:
     out = sorted(attrs, key=attr_key)
-    for a, b in zip(out, out[1:]):
-        if a == b:
-            raise AttributeSchemeError(f"duplicate attribute {a!r}")
+    if len(set(out)) < len(out):
+        a = next(a for a, b in zip(out, out[1:]) if a == b)
+        raise AttributeSchemeError(f"duplicate attribute {a!r}")
     return tuple(out)
 
 
@@ -134,8 +134,8 @@ class Relation:
 
     def __post_init__(self):
         _check_names(self.attrs, "attribute name")
-        keys = [attr_key(a) for a in self.attrs]
-        if not isinstance(self.attrs, tuple) or any(a >= b for a, b in zip(keys, keys[1:])):
+        keys = [*map(attr_key, self.attrs)]
+        if not isinstance(self.attrs, tuple) or not all(map(lt, keys, keys[1:])):
             canonical_attrs(self.attrs)  # raises on a duplicate
             raise AttributeSchemeError("attributes not in canonical order; use Relation.make")
         arity = len(self.attrs)
@@ -514,10 +514,16 @@ _HEADER_RE = re.compile(
 )
 
 
-def dump_relation(rel: Relation, name: str = "R") -> str:
+def _check_relation_name(name: str) -> None:
+    """Refuse a relation name the ``.rel`` header cannot carry, or one with
+    a path separator (``save_certificate`` makes the name a file stem)."""
     _check_names((name,), "relation name")
-    if os.sep in name:  # save_certificate makes the name a file stem
+    if os.sep in name:
         raise PreconditionError(f"bad relation name {name!r}")
+
+
+def dump_relation(rel: Relation, name: str = "R") -> str:
+    _check_relation_name(name)
     lines = [
         f"@relation {name} over {rel.domain.name}({','.join(rel.domain.elements)})",
         " ".join(rel.attrs) if rel.attrs else ".",
@@ -532,29 +538,32 @@ def load_relation(text: str, domains: Optional[dict] = None) -> tuple[str, Relat
     first, so that a bad row is a ``ParseError`` naming its line; the rows
     are then put in canonical attribute order and validated once, by the
     ``Relation`` constructor.  ``domains``, when given, holds the
-    ``Domain`` of each header domain already read, and is shared by the
-    calls of one caller, so that the texts of one bundle validate each of
-    their domains once."""
+    ``Domain`` of each domain header text already read, and is shared by
+    the calls of one caller, so that the texts of one bundle validate each
+    of their domains once.  Line numbers are counted only for an error."""
     strip = (lambda raw: raw.split("#", 1)[0].strip()) if "#" in text else str.strip
-    lines = [(number, line)  # (1-based line number in the text, content)
-             for number, line in enumerate(map(strip, text.splitlines()), 1) if line]
+    lines = [*filter(None, map(strip, text.splitlines()))]  # the lines with content
     if not lines:
         raise ParseError("empty relation file")
-    header = lines[0][1]
-    m = _HEADER_RE.match(header)
+    m = _HEADER_RE.match(lines[0])
     if not m:
-        raise ParseError(f"bad header line: {header!r}")
+        raise ParseError(f"bad header line: {lines[0]!r}")
     domains = {} if domains is None else domains
-    spec = (m.group("dom"), tuple([e.strip() for e in m.group("elems").split(",") if e.strip()]))
-    if spec not in domains:
-        domains[spec] = Domain(*spec)
-    domain = domains[spec]
+    spec = m.group("dom", "elems")
+    domain = domains.get(spec)
+    if domain is None:
+        elements = tuple([e.strip() for e in spec[1].split(",") if e.strip()])
+        domain = domains[spec] = Domain(spec[0], elements)
     if len(lines) < 2:
         raise ParseError("missing attribute line")
-    attrs = () if lines[1][1] == "." else tuple(lines[1][1].split())
-    rows = [() if line == "." else tuple(line.split()) for _, line in lines[2:]]
+    attrs = () if lines[1] == "." else tuple(lines[1].split())
+    rows = [*map(tuple, map(str.split, lines[2:]))]
+    if (".",) in rows:  # the empty row; no value is "."
+        rows = [() if row == (".",) else row for row in rows]
     if set(map(len, rows)) - {len(attrs)}:
-        number, row = next((number, row) for (number, _), row in zip(lines[2:], rows)
+        numbers = [number for number, line in enumerate(map(strip, text.splitlines()), 1)
+                   if line]
+        number, row = next((number, row) for number, row in zip(numbers[2:], rows)
                            if len(row) != len(attrs))
         raise ParseError(
             f"line {number}: row length {len(row)} does not match "

@@ -8,11 +8,20 @@ existential quantification -- nothing else.  Grammar:
     atom    := SYMBOL '(' var (',' var)* ')'
 
 with variables ``[a-z][a-z0-9_]*`` and symbols ``[A-Z][A-Za-z0-9_]*``.
-Names are validated where they enter: by ``parse``, which matches each
-one against ``VAR_RE`` or ``SYMBOL_RE``, and by the public ``Atom``
-constructor.  The atoms relred builds from names it has already checked
--- the parser's, the renamings of ``flatten``, and those of explication,
-merging and the reducers -- are built by ``_atom``, unchecked.
+``parse`` reads the tokens of one regular-expression scan of the text
+(``_TOKEN_RE``): a whole well-formed atom, read as one token, or else a
+punctuation mark, a maximal word or a stray character.  It keeps no
+position: an error scans the text again to find where its token starts,
+so the messages and positions are those of a character walk that skips
+white space before each token (``tests/oracles.py`` keeps that walk as
+the reference the parser is tested against).  ``exists`` is
+the keyword unless a letter or digit follows it, so ``exists_x`` is the
+keyword before ``_x``.  Names are validated where they enter: by
+``parse``, whose tokens are the names ``VAR_RE`` and ``SYMBOL_RE`` match,
+and by the public ``Atom`` constructor.  The atoms relred builds from
+names it has already checked -- the parser's, the renamings of
+``flatten``, and those of explication, merging and the reducers -- are
+built by ``_atom``, unchecked.
 Evaluation is extensional: an atom's arguments map positionally onto the
 canonical attribute order of the relation bound to its symbol, repeated
 variables select the diagonal, conjunction joins, and quantification
@@ -24,23 +33,29 @@ connected-first, smallest part first, dropping each bound variable once
 no part left to join carries it.  ``Conj`` splices nested
 conjunctions into one.
 
-A certificate verifies by one evaluation, looking each row of the value up
-in the target through the picker of ``var_map``'s renaming; no renamed copy
-is built.  Text files are read with one unbuffered read and decoded as
-text-mode ``open`` decodes them (``_read_text``); the relation files of one
-bundle share one ``Domain`` per domain header, and the manifest is written
-as the text ``json.dumps(manifest, indent=2, sort_keys=True)`` gives, built
-directly.
+A certificate verifies by one evaluation.  Each row of the value is looked
+up in the target through one picker: for each target column, in the
+target's own order, the value column of the variable ``var_map`` sends to
+it; no renamed copy is built and no scheme sorted.  Text files are opened
+with ``os.open`` and read whole with ``os.read``, decoded as text-mode
+``open`` decodes them (``_read_text``).  A bundle file whose name has one
+component, as every name ``save_certificate`` writes, is opened once with
+``O_NOFOLLOW``; only a symbolic link takes the checked walk of
+``_bundle_file``.  The relation files of one bundle share one ``Domain``
+per domain header, and the manifest is written as the text
+``json.dumps(manifest, indent=2, sort_keys=True)`` gives, built directly.
 
 A formula's structure is computed once per node: ``free_vars`` and
 ``flatten`` store their result on the frozen node the first time they are
-asked (lazily, so ``parse`` pays nothing for it), outside the dataclass
-fields, so ``==`` and ``hash`` do not see it.  A node shared between
-formulas shares its structure too.
+asked (``Exists`` asks for its body's free variables when it is built),
+outside the dataclass fields, so ``==`` and ``hash`` do not see it; a
+conjunction reads its atoms' variables off them and stores nothing on
+them.  A node shared between formulas shares its structure too.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import locale
 import os
@@ -52,6 +67,7 @@ from typing import Mapping, Optional, Sequence, Union
 from . import core
 from .core import Domain, Relation
 from .errors import (
+    AttributeSchemeError,
     DomainMismatchError,
     ParseError,
     PreconditionError,
@@ -124,7 +140,8 @@ def free_vars(f: Formula) -> frozenset[str]:
     if isinstance(f, Atom):
         free = frozenset(f.args)
     elif isinstance(f, Conj):
-        free = frozenset().union(*map(free_vars, f.parts))
+        # an atom part's variables are read off it, with nothing stored on it
+        free = frozenset().union(*[p.args if type(p) is Atom else free_vars(p) for p in f.parts])
     else:
         free = free_vars(f.body) - f.variables
     object.__setattr__(f, "_free", free)
@@ -160,92 +177,130 @@ MAX_NESTING = 100
 that normalizing, rendering and evaluating stay well inside Python's stack."""
 
 
+_TOKEN_RE = re.compile(
+    r"\s*(([A-Z][A-Za-z0-9_]*)\s*\(\s*([a-z][a-z0-9_]*(?:\s*,\s*[a-z][a-z0-9_]*)*)\s*\)"
+    r"|[(),.&]|[a-z][a-z0-9_]*|[A-Z][A-Za-z0-9_]*|\S)"
+)
+"""One token after optional white space (``\\s`` is the white space of
+``str.isspace``): a whole atom, with its symbol and its argument list as
+groups, or else a punctuation mark, a maximal variable-shaped word, a
+maximal symbol-shaped word, or any other single character."""
+_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
+_UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_END = ("", "", "")
+
+
 class _Parser:
+    """Recursive descent over the ``(token, symbol, arguments)`` triples of
+    one ``_TOKEN_RE`` scan, ended by the sentinel ``_END``.  No position is
+    kept: ``error`` finds the position of the current token by scanning the
+    text again."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append(_END)
+        self.i = 0
 
-    def error(self, msg: str):
-        raise ParseError(msg, self.pos)
+    def error(self, msg: str, shift: int = 0, after_previous: bool = False):
+        """Raise ``msg`` at the start of the current token plus ``shift``,
+        or at the end of the token before it."""
+        spans = self.spans()
+        if after_previous:
+            pos = spans[self.i - 1][1]
+        else:
+            pos = (spans[self.i][0] if self.i < len(spans) else len(self.text)) + shift
+        raise ParseError(msg, pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def spans(self) -> list[tuple[int, int]]:
+        return [m.span(1) for m in _TOKEN_RE.finditer(self.text)]
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def glued(self, i: int) -> bool:
+        """Whether the ``exists`` that starts token ``i`` runs on into a
+        letter or digit, so that it is no keyword (inside the token only
+        ``_`` can follow it, which is no letter)."""
+        end = self.spans()[i][0] + len("exists")
+        return self.text[end:end + 1].isalnum()
+
+    def at_exists(self) -> bool:
+        # ``exists_x`` is the keyword followed by ``_x``, as in the grammar
+        tok = self.tokens[self.i][0]
+        return tok == "exists" or tok.startswith("exists_")
 
     def eat(self, token: str):
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
+        if self.tokens[self.i][0] != token:
             self.error(f"expected {token!r}")
-        self.pos += len(token)
+        self.i += 1
 
-    def word(self, pattern: re.Pattern, what: str) -> str:
-        self.skip_ws()
-        m = pattern.match(self.text, self.pos)
-        if not m:
-            self.error(f"expected {what}")
-        self.pos = m.end()
-        return m.group()
-
-    def at_keyword(self, kw: str) -> bool:
-        self.skip_ws()
-        end = self.pos + len(kw)
-        return (
-            self.text.startswith(kw, self.pos)
-            and (end >= len(self.text) or not self.text[end].isalnum())
-        )
+    def var(self) -> str:
+        tok = self.tokens[self.i][0]
+        if tok[:1] not in _LOWER:
+            self.error("expected variable")
+        self.i += 1
+        return tok
 
     def formula(self, depth: int = 0) -> Formula:
         if depth > MAX_NESTING:
-            self.error(f"formula nested more than {MAX_NESTING} levels deep")
-        if self.at_keyword("exists"):
-            self.eat("exists")
-            variables = [self.word(VAR_RE, "variable")]
-            while self.peek() not in (".", ""):
-                if self.peek() == ",":
-                    self.eat(",")
-                variables.append(self.word(VAR_RE, "variable"))
-            self.eat(".")
-            return Exists(frozenset(variables), self.formula(depth + 1))
-        return self.conj(depth)
+            msg = f"formula nested more than {MAX_NESTING} levels deep"
+            if self.tokens[self.i - 1][0] != "&":  # after '.' or '('
+                self.error(msg, after_previous=True)
+            self.error("expected relation symbol" if self.glued(self.i) else msg)
+        if not self.at_exists():
+            return self.conj(depth)
+        tokens, start = self.tokens, self.i
+        if tokens[start][0] != "exists":
+            self.error("expected variable", shift=len("exists"))
+        self.i += 1
+        if tokens[self.i][0][:1] not in _LOWER and self.glued(start):
+            # ``existsX`` is no keyword, and no symbol starts with ``e``
+            self.i = start
+            self.error("expected relation symbol")
+        variables = [self.var()]
+        while tokens[self.i][0] not in (".", ""):
+            if tokens[self.i][0] == ",":
+                self.i += 1
+            variables.append(self.var())
+        self.eat(".")
+        return Exists(frozenset(variables), self.formula(depth + 1))
 
     def conj(self, depth: int) -> Formula:
         parts = [self.primary(depth)]
-        while self.peek() == "&":
-            self.eat("&")
-            if self.at_keyword("exists"):
-                parts.append(self.formula(depth + 1))
-            else:
-                parts.append(self.primary(depth))
+        while self.tokens[self.i][0] == "&":
+            self.i += 1
+            parts.append(self.formula(depth + 1) if self.at_exists() else self.primary(depth))
         return parts[0] if len(parts) == 1 else Conj(tuple(parts))
 
     def primary(self, depth: int) -> Formula:
-        if self.peek() == "(":
-            self.eat("(")
+        tok, symbol, args = self.tokens[self.i]
+        if symbol:  # a whole atom; ``str.strip`` drops the white space ``\s`` matches
+            self.i += 1
+            return _atom(symbol, tuple(map(str.strip, args.split(","))))
+        if tok == "(":
+            self.i += 1
             inner = self.formula(depth + 1)
             self.eat(")")
             return inner
-        return self.atom()
+        self.malformed_atom()
 
-    def atom(self) -> Atom:
-        symbol = self.word(SYMBOL_RE, "relation symbol")
+    def malformed_atom(self):
+        """Raise at the first token of an atom that is no whole-atom token
+        (a symbol or a variable list the atom pattern does not match)."""
+        if self.tokens[self.i][0][:1] not in _UPPER:
+            self.error("expected relation symbol")
+        self.i += 1
         self.eat("(")
-        args = [self.word(VAR_RE, "variable")]
-        while self.peek() == ",":
-            self.eat(",")
-            args.append(self.word(VAR_RE, "variable"))
+        self.var()
+        while self.tokens[self.i][0] == ",":
+            self.i += 1
+            self.var()
         self.eat(")")
-        return _atom(symbol, tuple(args))
+        raise AssertionError("a well-formed atom is one token")  # pragma: no cover
 
 
 def parse(text: str) -> Formula:
     p = _Parser(text)
     f = p.formula()
-    p.skip_ws()
-    if p.pos != len(p.text):
+    if p.tokens[p.i][0]:
         p.error("trailing input")
     return f
 
@@ -461,10 +516,11 @@ class ReductionCertificate:
     def verify(self) -> None:
         """Raise unless the formula evaluates to the target.  The checks
         run in this order: a closed formula for a non-0-ary target, a value
-        over another domain or with another row count, the renaming of the
-        value's scheme by ``var_map`` (as ``core.rename`` checks it), and
-        the renamed rows, each looked up in the target through one picker
-        with no renamed copy built."""
+        over another domain or with another row count, ``var_map`` not a
+        bijection on the value's scheme (as ``core.rename`` refuses it),
+        ``var_map`` not onto the target's scheme, and the value's rows,
+        each looked up in the target through one picker that reads, for
+        each target column, the value column of its variable."""
         value = evaluate(self.formula, self.env)
         target = self.target
         if not value.attrs and target.attrs:
@@ -472,9 +528,13 @@ class ReductionCertificate:
         if value.domain != target.domain or len(value) != len(target):
             raise VerificationError(_NOT_TARGET)
         if value.attrs:
-            attrs, idx = core._renaming(value, self.var_map)
-            same = attrs == target.attrs and all(
-                map(target.rows.__contains__, map(core._picker(idx), value.rows)))
+            var_of = {a: v for v, a in self.var_map.items()}  # the inverse
+            if self.var_map.keys() != set(value.attrs) or len(var_of) != len(value.attrs):
+                raise AttributeSchemeError("rename mapping is not a bijection on the scheme")
+            column = {v: k for k, v in enumerate(value.attrs)}
+            same = var_of.keys() == set(target.attrs) and all(map(
+                target.rows.__contains__,
+                map(core._picker([column[var_of[a]] for a in target.attrs]), value.rows)))
         else:
             same = value.rows == target.rows
         if not same:
@@ -541,15 +601,38 @@ def certificate_verdict(cert: ReductionCertificate, valid: bool) -> CertificateV
 # ---------------------------------------------------------------------------
 
 
-def _read_text(path: str, what: str) -> str:
+_CHUNK = 1 << 16  # bytes asked of each ``os.read``
+_NOFOLLOW = os.O_RDONLY | os.O_NOFOLLOW
+
+
+def _read_text(path: str, what: str, follow: bool = True) -> Optional[str]:
     """The text of ``path`` as text-mode ``open`` reads it -- decoded in the
-    locale's encoding, with universal newlines -- from one unbuffered read
-    of the whole file.  A missing, unreadable or undecodable file, or a
-    directory, is a ``ParseError`` naming ``what``, with ``open``'s message."""
+    locale's encoding, with universal newlines.  The file is opened once
+    with ``os.open`` and read with ``os.read`` on the descriptor until it
+    ends, with none of the ``fstat`` calls of a file object.  A missing,
+    unreadable or undecodable file, or a directory, is a ``ParseError``
+    naming ``what``, with ``open``'s message.
+
+    With ``follow`` false the file is opened with ``O_NOFOLLOW``: when the
+    last component of ``path`` is a symbolic link (``ELOOP``) nothing is
+    read and the result is None."""
     try:
-        with open(path, "rb", buffering=0) as fh:
-            data = fh.read()
-        text = data.decode(locale.getpreferredencoding(False))
+        try:
+            fd = os.open(path, os.O_RDONLY if follow else _NOFOLLOW)
+        except OSError as e:
+            if e.errno == errno.ELOOP and not follow:
+                return None
+            raise
+        try:
+            chunks = []
+            while chunk := os.read(fd, _CHUNK):
+                chunks.append(chunk)
+        except IsADirectoryError:
+            # ``open`` refuses a directory by name, before it reads
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path) from None
+        finally:
+            os.close(fd)
+        text = b"".join(chunks).decode(locale.getpreferredencoding(False))
     except (OSError, ValueError) as e:
         raise ParseError(f"cannot read {what}: {e}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
@@ -587,9 +670,20 @@ def save_certificate(cert: ReductionCertificate, outdir: str, name: str = "targe
     files this bundle does not name, such as the factors of an earlier,
     larger bundle, are left as they are.  A write torn by a crash still
     leaves a bundle that ``load_certificate`` refuses or that verifies,
-    because a certificate is checked when it is built.
+    because a certificate is checked when it is built.  The target's name
+    (a relation name without a path separator, and no factor's symbol) and
+    each factor's symbol (a ``SYMBOL_RE`` symbol, as ``load_certificate``
+    reads it), which name the relation files, are checked before ``outdir``
+    is made, so a refused bundle writes nothing.
     """
-    os.makedirs(outdir, exist_ok=True)
+    core._check_relation_name(name)
+    for symbol in cert.env:
+        if not SYMBOL_RE.fullmatch(symbol):
+            raise PreconditionError(f"bad relation symbol {symbol!r}")
+    if name in cert.env:  # the factor's file would overwrite the target's
+        raise PreconditionError(f"target name {name!r} is also a factor symbol")
+    if not os.path.isdir(outdir):  # one stat, where makedirs fails a mkdir
+        os.makedirs(outdir, exist_ok=True)
     target_file = f"{name}.rel"
     _write_text(os.path.join(outdir, target_file), core.dump_relation(cert.target, name))
     env_files = {}
@@ -629,6 +723,9 @@ def _bundle_file(base: str, fname: str) -> str:
     The name is normalized lexically, so a leading ``..`` leaves the
     bundle; a symbolic link on the way is followed only when its target
     is inside the bundle.  Only links cost a ``realpath``.
+    ``load_certificate`` walks a name here when it has more than one
+    component, or when its one component is a symbolic link, which the
+    ``O_NOFOLLOW`` open of ``_read_text`` refused.
     """
     if os.path.isabs(fname):
         raise ParseError(f"bundle path {fname!r} is absolute")
@@ -658,9 +755,10 @@ _MANIFEST_KEYS = (
 def load_certificate(path: str) -> ReductionCertificate:
     """Read a bundle written by ``save_certificate``.
 
-    A manifest that is not a JSON object of the expected shape, a missing
-    or unreadable file, and a relation path that is absolute or leads out
-    of the bundle directory are all ``ParseError``s.
+    A manifest that is not a JSON object of the expected shape, an ``env``
+    key that is not a relation symbol (``SYMBOL_RE``), a missing or
+    unreadable file, and a relation path that is absolute or leads out of
+    the bundle directory are all ``ParseError``s.
     """
     what = f"certificate manifest {path!r}"
     try:
@@ -675,11 +773,21 @@ def load_certificate(path: str) -> ReductionCertificate:
     for key in ("env", "varmap"):
         if not all(isinstance(v, str) for v in manifest[key].values()):
             raise ParseError(f"certificate manifest {key!r} values must be strings")
+    for symbol in manifest["env"]:
+        if not SYMBOL_RE.fullmatch(symbol):
+            raise ParseError(f"certificate manifest 'env' key {symbol!r} is not a relation symbol")
     base = os.path.dirname(os.path.abspath(path))
+    prefix = os.path.join(base, "")  # + a one-component name is their join
     domains: dict = {}  # one Domain per domain header in this bundle
 
     def load_rel(fname: str) -> Relation:
-        text = _read_text(_bundle_file(base, fname), f"bundle file {fname!r}")
+        what = f"bundle file {fname!r}"
+        text = None
+        if os.sep not in fname and fname not in ("", os.curdir, os.pardir):
+            # a name in the bundle directory itself, read unless it is a link
+            text = _read_text(prefix + fname, what, follow=False)
+        if text is None:
+            text = _read_text(_bundle_file(base, fname), what)
         return core.load_relation(text, domains)[1]
 
     target = load_rel(manifest["target"])

@@ -6,6 +6,9 @@ depend on any code path under test.
 
 import itertools
 
+from relred.errors import ParseError
+from relred.formula import MAX_NESTING, SYMBOL_RE, VAR_RE, Atom, Conj, Exists
+
 
 def proj(rows, idxs):
     return {tuple(t[i] for i in idxs) for t in rows}
@@ -266,3 +269,98 @@ class PerCellCensus:
             for i in range(len(self.cells))
             if not mask >> i & 1
         )
+
+
+class ReferenceParser:
+    """The formula parser as a character walk: the reference that
+    ``formula.parse`` is tested against.  It skips white space before each
+    token by ``str.isspace`` and raises each ``ParseError`` at the position
+    it has reached."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, msg: str):
+        raise ParseError(msg, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def eat(self, token: str):
+        self.skip_ws()
+        if not self.text.startswith(token, self.pos):
+            self.error(f"expected {token!r}")
+        self.pos += len(token)
+
+    def word(self, pattern, what: str) -> str:
+        self.skip_ws()
+        m = pattern.match(self.text, self.pos)
+        if not m:
+            self.error(f"expected {what}")
+        self.pos = m.end()
+        return m.group()
+
+    def at_keyword(self, kw: str) -> bool:
+        self.skip_ws()
+        end = self.pos + len(kw)
+        return (
+            self.text.startswith(kw, self.pos)
+            and (end >= len(self.text) or not self.text[end].isalnum())
+        )
+
+    def formula(self, depth: int = 0):
+        if depth > MAX_NESTING:
+            self.error(f"formula nested more than {MAX_NESTING} levels deep")
+        if self.at_keyword("exists"):
+            self.eat("exists")
+            variables = [self.word(VAR_RE, "variable")]
+            while self.peek() not in (".", ""):
+                if self.peek() == ",":
+                    self.eat(",")
+                variables.append(self.word(VAR_RE, "variable"))
+            self.eat(".")
+            return Exists(frozenset(variables), self.formula(depth + 1))
+        return self.conj(depth)
+
+    def conj(self, depth: int):
+        parts = [self.primary(depth)]
+        while self.peek() == "&":
+            self.eat("&")
+            if self.at_keyword("exists"):
+                parts.append(self.formula(depth + 1))
+            else:
+                parts.append(self.primary(depth))
+        return parts[0] if len(parts) == 1 else Conj(tuple(parts))
+
+    def primary(self, depth: int):
+        if self.peek() == "(":
+            self.eat("(")
+            inner = self.formula(depth + 1)
+            self.eat(")")
+            return inner
+        return self.atom()
+
+    def atom(self):
+        symbol = self.word(SYMBOL_RE, "relation symbol")
+        self.eat("(")
+        args = [self.word(VAR_RE, "variable")]
+        while self.peek() == ",":
+            self.eat(",")
+            args.append(self.word(VAR_RE, "variable"))
+        self.eat(")")
+        return Atom(symbol, tuple(args))
+
+
+def reference_parse(text: str):
+    p = ReferenceParser(text)
+    f = p.formula()
+    p.skip_ws()
+    if p.pos != len(p.text):
+        p.error("trailing input")
+    return f

@@ -640,3 +640,40 @@ def test_in_process_run_frees_captured_output():
     del out, err
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+def test_verify_dangling_symlink_in_bundle_exit_2(bundle, workdir):
+    manifest, write = bundle
+    (workdir / "cb" / "link.rel").symlink_to(workdir / "cb" / "missing.rel")
+    manifest["target"] = "link.rel"
+    res = write(json.dumps(manifest))
+    assert res.exit_code == 2
+    assert res.output == ("parse error: cannot read bundle file 'link.rel': [Errno 2] "
+                          f"No such file or directory: {str(workdir / 'cb' / 'link.rel')!r}\n")
+
+
+def test_verify_symlinked_directory_out_of_bundle_exit_2(bundle, workdir):
+    manifest, write = bundle
+    (workdir / "cb" / "sub").symlink_to(workdir)
+    manifest["target"] = "sub/I4.rel"
+    res = write(json.dumps(manifest))
+    assert res.exit_code == 2 and "out of the bundle" in res.output
+
+
+def test_verify_symlinked_directory_inside_bundle_accepted(bundle, workdir):
+    manifest, write = bundle
+    (workdir / "cb" / "sub").symlink_to(workdir / "cb")
+    manifest["target"] = "sub/" + manifest["target"]
+    res = write(json.dumps(manifest))
+    assert res.exit_code == 0 and "valid" in res.output
+
+
+def test_env_key_that_is_no_symbol_exit_2_and_nothing_written(bundle, workdir, runner):
+    manifest, write = bundle
+    manifest["env"]["../evil"] = sorted(manifest["env"].values())[0]
+    res = write(json.dumps(manifest))
+    message = "parse error: certificate manifest 'env' key '../evil' is not a relation symbol\n"
+    assert res.exit_code == 2 and res.output == message
+    res = run(runner, workdir, "explicate", "cb", "-o", "out")
+    assert res.exit_code == 2 and res.output == message
+    assert not (workdir / "out").exists()

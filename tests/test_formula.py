@@ -1,9 +1,12 @@
+import itertools
 import json
 import locale
 import os
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from relred.core import Domain, Relation, dump_relation, standard
 from relred.errors import ParseError, PreconditionError, VerificationError
@@ -13,6 +16,7 @@ from relred.formula import (
     Exists,
     MAX_NESTING,
     ReductionCertificate,
+    _CHUNK,
     _read_text,
     _write_text,
     check_certificate,
@@ -29,6 +33,7 @@ from relred.formula import (
 from relred.reducers import hypostatic_abstraction, key_reduction
 
 from conftest import make_rel
+from oracles import reference_parse
 
 
 def test_parse_atom():
@@ -262,8 +267,11 @@ def test_manifest_is_the_json_dumps_text(tmp_path, d2, case):
         factor = Relation.make(d2, ("1", "2"), [("a", "b"), ("b", "a")])
         cert = ReductionCertificate(
             target, parse("F(x1,x2) & F(x3,x4) & G(x1,x3)"),
-            {"F": factor, "G": standard("identity", 2, d2), "H\u00e9\"": factor},
+            {"F": factor, "G": standard("identity", 2, d2)},
             dict(zip(("x1", "x2", "x3", "x4"), target.attrs)))
+        # a factor symbol is a ``SYMBOL_RE`` symbol, so only a target name
+        # that is no symbol puts an escape into the manifest's file names
+        name = "H\u00e9\""
     elif case == "empty varmap":
         cert = ReductionCertificate(
             standard("universal", 0, d2), parse("exists y . U(y)"),
@@ -274,9 +282,10 @@ def test_manifest_is_the_json_dumps_text(tmp_path, d2, case):
                                env={}, var_map={"x": "1"})
     else:
         cert = hypostatic_abstraction(standard("identity", 3, d2), 1)
-    path = save_certificate(cert, str(tmp_path / "bundle"))
+    name = name if case == "escaped" else "target"
+    path = save_certificate(cert, str(tmp_path / "bundle"), name)
     with open(path, "rb") as fh:
-        assert fh.read() == _manifest_bytes(cert)
+        assert fh.read() == _manifest_bytes(cert, name)
 
 
 def test_save_over_a_larger_bundle_rewrites_in_place(tmp_path, d2):
@@ -356,3 +365,156 @@ def test_read_text_translates_newlines_as_text_mode_open(tmp_path):
     assert text == "@relation R over D(a,b)\n1 2\na b\nb a\n\n"
     with open(path) as fh:
         assert text == fh.read()
+
+
+# the parser against the character walk it replaced (tests/oracles.py):
+# the same formula, or the same error at the same position
+PARSER_PIECES = (
+    "exists", "exists ", "exists_x", "existsX", "existsé", "exists²", "exists.",
+    "x", "y1", "t_2", "x1_1", "P", "Q1", "R_a", "F(x,y)", "G(t)", "(", ")", ",", ".", "&",
+    "F ( x , y )", "P(x ,\x1cy)", "Q1(x,", "R_a(x y)", "P(xY)", "G(,t)", "H()",
+    " ", "  ", "\t", "\n", " ", "\u0085", "\x1c", "_", "X", "é", "#", "-", "1",
+)
+NESTINGS = ("({})", "P(x) & ({})", "exists y . P(y) & {}", "P(y) & {}", "exists y . {}")
+
+
+def _outcome(parser, text):
+    try:
+        return "formula", parser(text)
+    except (ParseError, PreconditionError) as e:
+        return type(e).__name__, str(e), getattr(e, "position", None)
+
+
+@st.composite
+def parser_texts(draw):
+    text = "".join(draw(st.lists(st.sampled_from(PARSER_PIECES), max_size=16)))
+    if draw(st.booleans()):
+        # a shape of two nesting levels reaches MAX_NESTING at about half as
+        # many repeats; one more parenthesis shifts which token it is reached at
+        half = MAX_NESTING // 2
+        repeats = draw(st.sampled_from([*range(half - 2, half + 3),
+                                        *range(MAX_NESTING - 2, MAX_NESTING + 3)]))
+        shape = draw(st.sampled_from(NESTINGS))
+        for _ in range(repeats):
+            text = shape.format(text)
+        if draw(st.booleans()):
+            text = f"({text})"
+    return text
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(parser_texts())
+def test_parse_matches_the_reference_parser(text):
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+# quantifiers and conjunctions alternate, so MAX_NESTING is passed at an
+# '&' with one more parenthesis outside and at a '.' without it
+NESTED = "exists y . P(y) & " * (MAX_NESTING // 2)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("exists_x . P(x)", "expected variable (at position 6)"),
+    ("existsX(x)", "expected relation symbol (at position 0)"),
+    ("existsé . P(x)", "expected relation symbol (at position 0)"),
+    ("P(x) & exists", "expected variable (at position 13)"),
+    ("P(x) &  exists ", "expected variable (at position 15)"),
+    ("P(x, exists²)", "expected ')' (at position 11)"),
+    ("P(x)\x1c\u0085", Atom("P", ("x",))),
+    (f"({NESTED}  existsX(x))", f"expected relation symbol (at position {len(NESTED) + 3})"),
+    (f"({NESTED}  exists_x . P(x))",
+     f"formula nested more than {MAX_NESTING} levels deep (at position {len(NESTED) + 3})"),
+    (f"{NESTED}  exists x . P(x)",
+     f"formula nested more than {MAX_NESTING} levels deep (at position {len(NESTED) + 12})"),
+], ids=["exists_", "existsX", "exists-e-acute", "exists-at-end", "exists-then-space",
+        "exists-superscript", "unicode-space", "deep-existsX", "deep-exists_", "deep-dot"])
+def test_parse_keyword_boundary_and_white_space(text, expected):
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+    if isinstance(expected, Atom):
+        assert parse(text) == expected
+    else:
+        with pytest.raises(ParseError) as refused:
+            parse(text)
+        assert str(refused.value) == expected
+
+
+def test_tampered_var_map_fails_check_certificate(d2):
+    target = Relation.make(d2, ("1", "2"), [("a", "a"), ("a", "b")])
+    for tamper in ({"x": "2", "y": "1"}, {"x": "1", "y": "3"}, {"x": "1"},
+                   {"x": "1", "y": "1"}, {"x": "1", "y": "a b"}):
+        cert = ReductionCertificate(target, parse("P(x,y)"), {"P": target},
+                                    {"x": "1", "y": "2"})
+        cert.var_map.clear()
+        cert.var_map.update(tamper)
+        assert not check_certificate(cert).valid
+        with pytest.raises((VerificationError, PreconditionError)):
+            cert.verify()
+
+
+def test_env_key_that_is_no_symbol_is_refused(tmp_path, d2):
+    identity = standard("identity", 3, d2)
+    path = save_certificate(key_reduction(identity, ["1"]), str(tmp_path / "bundle"))
+    manifest = json.loads((tmp_path / "bundle" / "certificate.json").read_text())
+    for key in ("../evil", "f1", "F 1", ""):
+        changed = dict(manifest, env=dict(manifest["env"], **{key: "F1.rel"}))
+        (tmp_path / "bundle" / "certificate.json").write_text(json.dumps(changed))
+        with pytest.raises(ParseError) as refused:
+            load_certificate(path)
+        assert str(refused.value) == (
+            f"certificate manifest 'env' key {key!r} is not a relation symbol")
+
+
+@pytest.mark.parametrize("symbol", ("../evil", "F 1", "F(1)", "H\u00e9\""))
+def test_bad_env_symbol_is_refused_before_the_bundle_directory_is_made(tmp_path, d2, symbol):
+    identity = standard("identity", 2, d2)
+    cert = ReductionCertificate(identity, parse("P(x,y)"), {"P": identity, symbol: identity},
+                                {"x": "1", "y": "2"})
+    with pytest.raises(PreconditionError) as refused:
+        save_certificate(cert, str(tmp_path / "bundle"))
+    assert str(refused.value) == f"bad relation symbol {symbol!r}"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name,message", [
+    ("../evil", "bad relation name '../evil'"), ("a/b", "bad relation name 'a/b'"),
+    ("T 1", "bad relation name 'T 1'"), (".", "bad relation name '.'"),
+    # F1.rel would be written twice, the factor over the target
+    ("F1", "target name 'F1' is also a factor symbol"),
+])
+def test_bad_target_name_is_refused_before_the_bundle_directory_is_made(
+        tmp_path, d2, name, message):
+    cert = key_reduction(standard("identity", 3, d2), ["1"])
+    assert sorted(cert.env) == ["F1", "F2"]
+    with pytest.raises(PreconditionError) as refused:
+        save_certificate(cert, str(tmp_path / "bundle"), name)
+    assert str(refused.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bundle_files_longer_than_one_read_and_empty_are_read_whole(tmp_path):
+    d = Domain("D", ("a", "b"))
+    attrs = [str(i) for i in range(1, 13)]
+    universal = Relation.make(d, attrs, itertools.product("ab", repeat=12))
+    variables = [f"x{i}" for i in range(1, 13)]
+    cert = ReductionCertificate(universal, parse(f"U({','.join(variables)})"),
+                                {"U": universal}, dict(zip(variables, attrs)))
+    path = save_certificate(cert, str(tmp_path / "bundle"))
+    for fname in ("target.rel", "U.rel"):
+        assert (tmp_path / "bundle" / fname).stat().st_size > _CHUNK
+    loaded = load_certificate(path)  # the files are opened with O_NOFOLLOW
+    assert loaded.target == loaded.env["U"] == universal
+    target_file = tmp_path / "bundle" / "target.rel"
+    assert _read_text(str(target_file), "target") == target_file.read_text()
+    (tmp_path / "bundle" / "U.rel").write_text("")
+    assert _read_text(str(tmp_path / "bundle" / "U.rel"), "U") == ""
+    with pytest.raises(ParseError, match="^empty relation file$"):
+        load_certificate(path)
+
+
+def test_read_text_without_follow_opens_no_link(tmp_path):
+    (tmp_path / "f.rel").write_text("text\n")
+    (tmp_path / "link.rel").symlink_to(tmp_path / "f.rel")
+    assert _read_text(str(tmp_path / "f.rel"), "f", follow=False) == "text\n"
+    assert _read_text(str(tmp_path / "link.rel"), "f", follow=False) is None
+    assert _read_text(str(tmp_path / "link.rel"), "f") == "text\n"
