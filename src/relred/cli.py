@@ -91,6 +91,13 @@ def _parse_blocks(text: str) -> list[list[str]]:
     return [_parse_attr_list(b) for b in text.split("|")]
 
 
+def _one_mode(names: str, *values) -> None:
+    """Refuse a call that gives none, or more than one, of the modes
+    ``names`` lists; an unset mode is None, or False for a flag."""
+    if sum(v is not None and v is not False for v in values) != 1:
+        raise PreconditionError(f"pick one of {names}")
+
+
 def _emit(ctx, to_json, to_text):
     """Print the JSON payload under ``--format json`` and the text one
     otherwise; each is a function, and only the one printed is called."""
@@ -150,6 +157,7 @@ def eval_cmd(ctx, formula_file, env_files, free, out):
 def deps_cmd(ctx, rel_file, fd, keys_k, mvd, admits):
     """Dependency reports for a relation."""
     _, rel = _load_rel(rel_file)
+    _one_mode("--fd, --keys, --mvd, --admits", fd, keys_k, mvd, admits)
     if fd is not None:
         lhs, _, rhs = fd.partition(":")
         report = dependencies.functional_dep(
@@ -169,12 +177,10 @@ def deps_cmd(ctx, rel_file, fd, keys_k, mvd, admits):
             rel, _parse_attr_list(m), _parse_blocks(blocks)
         )
         _emit(ctx, report.to_json, report.to_text)
-    elif admits is not None:
+    else:
         ok = dependencies.admits_key(rel, admits)
         _emit(ctx, lambda: json.dumps({"admits": ok, "k": admits}),
               lambda: f"admits {admits}-key: {'yes' if ok else 'no'}")
-    else:
-        raise PreconditionError("pick one of --fd, --keys, --mvd, --admits")
 
 
 @main.command("reduce")
@@ -195,6 +201,8 @@ def reduce_cmd(ctx, rel_file, key, fagin, hypostatic, neg_join, k_param,
                chain_n, out):
     """Produce a verified reduction certificate bundle."""
     _, rel = _load_rel(rel_file)
+    _one_mode("--key, --fagin, --hypostatic, --neg-join, --identity-chain",
+              key, fagin, hypostatic, neg_join, chain_n)
     if key is not None:
         cert = reducers.key_reduction(rel, _parse_attr_list(key))
     elif fagin is not None:
@@ -207,12 +215,8 @@ def reduce_cmd(ctx, rel_file, key, fagin, hypostatic, neg_join, k_param,
     elif neg_join is not None:
         join_cert = _load_cert(neg_join)
         cert = reducers.neg_join_projoin(join_cert, k_param)
-    elif chain_n is not None:
-        cert = reducers.identity_chain(chain_n, rel.domain)
     else:
-        raise PreconditionError(
-            "pick one of --key, --fagin, --hypostatic, --neg-join, --identity-chain"
-        )
+        cert = reducers.identity_chain(chain_n, rel.domain)
     path = formula.save_certificate(cert, out)
     _echo(path)
 
@@ -281,42 +285,40 @@ def ternarity_cmd(ctx, rel_file, certs):
 
 @main.command("analyze")
 @click.argument("rel_file", type=click.Path(exists=True))
-@click.option("--degenerate", "which", flag_value="degenerate")
-@click.option("--join-reducible", "which", flag_value="join-reducible")
+@click.option("--degenerate", is_flag=True)
+@click.option("--join-reducible", is_flag=True)
 @click.option("--relprod2", default=None,
               help="comma-separated left block of the bipartition")
-@click.option("--one-param", "which", flag_value="one-param")
-@click.option("--oracle-suite", "which", flag_value="oracle-suite")
+@click.option("--one-param", is_flag=True)
+@click.option("--oracle-suite", is_flag=True)
 @click.option("-o", "--out", type=click.Path(), default=None,
               help="bundle directory for produced certificates")
 @click.pass_context
-def analyze_cmd(ctx, rel_file, which, relprod2, out):
+def analyze_cmd(ctx, rel_file, degenerate, join_reducible, relprod2, one_param,
+                oracle_suite, out):
     """Exact deciders: degeneracy, join reducibility, relative products."""
     _, rel = _load_rel(rel_file)
+    _one_mode("--degenerate, --join-reducible, --relprod2, --one-param, --oracle-suite",
+              degenerate, join_reducible, relprod2, one_param, oracle_suite)
     if relprod2 is not None:
         cert = analysis.rel_prod_reducible2(rel, _parse_attr_list(relprod2))
         _verdict(ctx, cert, out, "reducible", "relprod2")
-    elif which == "degenerate":
+    elif degenerate:
         witness = analysis.is_degenerate(rel)
         _emit(ctx,
               lambda: json.dumps({"degenerate": witness is not None,
                                   "witness": [list(b) for b in witness] if witness else None}),
               lambda: "degenerate: " + ("|".join(",".join(b) for b in witness)
                                          if witness else "no"))
-    elif which == "join-reducible":
+    elif join_reducible:
         _verdict(ctx, analysis.is_join_reducible(rel), out, "join_reducible", "join reducible")
-    elif which == "one-param":
+    elif one_param:
         _verdict(ctx, analysis.one_param_ternary_projoin(rel), out,
                  "one_param_reducible", "one-parameter projoin")
-    elif which == "oracle-suite":
+    else:
         evidence = analysis.ternary_oracle_suite(rel)
         _emit(ctx, lambda: json.dumps(evidence),
               lambda: "\n".join(json.dumps(e) for e in evidence))
-    else:
-        raise PreconditionError(
-            "pick one of --degenerate, --join-reducible, --relprod2, "
-            "--one-param, --oracle-suite"
-        )
 
 
 @main.command("census")

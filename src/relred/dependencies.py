@@ -54,22 +54,16 @@ class DependencyReport:
         return "\n".join(lines)
 
 
-def _check_attrs(rel: Relation, attrs: Iterable[str]) -> tuple[str, ...]:
-    canon = canonical_attrs(attrs)
-    missing = set(canon) - rel.scheme
-    if missing:
-        raise AttributeSchemeError(f"attributes {sorted(missing)} not in scheme")
-    return canon
-
-
 def functional_dep(rel: Relation, lhs: Iterable[str], rhs: Iterable[str]) -> DependencyReport:
     """Does every pair of rows agreeing on ``lhs`` also agree on ``rhs``?
 
     The witness, when the dependency fails, is the first violating row
     pair in canonical row order.
     """
-    lhs_c = _check_attrs(rel, lhs)
-    rhs_c = _check_attrs(rel, rhs)
+    lhs_w = core._wanted(lhs, rel.attrs)
+    rhs_w = core._wanted(rhs, rel.attrs)
+    lhs_c = tuple(a for a in rel.attrs if a in lhs_w)
+    rhs_c = tuple(a for a in rel.attrs if a in rhs_w)
     pick_key = core._picker([rel.attrs.index(a) for a in lhs_c])
     pick_val = core._picker([rel.attrs.index(a) for a in rhs_c])
     seen: dict[tuple[str, ...], tuple[tuple[str, ...], tuple[str, ...]]] = {}
@@ -84,14 +78,13 @@ def functional_dep(rel: Relation, lhs: Iterable[str], rhs: Iterable[str]) -> Dep
                 break
         else:
             seen[key] = (val, row)
-    kind = "key" if set(rhs_c) == rel.scheme - set(lhs_c) else "functional"
+    kind = "key" if rhs_w == rel.scheme - lhs_w else "functional"
     return DependencyReport(kind, lhs_c, (rhs_c,), witness is None, witness)
 
 
 def is_key(rel: Relation, key: Iterable[str]) -> DependencyReport:
-    key_c = _check_attrs(rel, key)
-    rest = canonical_attrs(rel.scheme - set(key_c))
-    return functional_dep(rel, key_c, rest)
+    key_w = core._wanted(key, rel.attrs)
+    return functional_dep(rel, key_w, rel.scheme - key_w)
 
 
 def find_keys(rel: Relation, k: int) -> list[tuple[str, ...]]:
@@ -128,8 +121,9 @@ def is_cartesian_over(rel: Relation, blocks: Sequence[Iterable[str]]) -> bool:
 def mvd_holds(rel: Relation, m: Iterable[str], blocks: Sequence[Iterable[str]]) -> DependencyReport:
     """Multivalued dependency M ->> blocks: every selection on M is a
     product over the common partition of the remaining attributes."""
-    m_c = _check_attrs(rel, m)
-    blocks_c = validate_partition(rel.scheme - set(m_c), blocks)
+    m_w = core._wanted(m, rel.attrs)
+    m_c = tuple(a for a in rel.attrs if a in m_w)
+    blocks_c = validate_partition(rel.scheme - m_w, blocks)
     kind = "multikey" if all(len(b) == 1 for b in blocks_c) else "mvd"
     witness = None
     for row in sorted(core.project(rel, m_c).rows):

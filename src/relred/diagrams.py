@@ -207,17 +207,22 @@ def _fresh_symbol(base: str, used: set[str]) -> str:
     return name
 
 
+def _is_identity(rel: Relation, arity: int) -> bool:
+    return rel.arity == arity and rel.rows == frozenset(
+        (e,) * arity for e in rel.domain.elements
+    )
+
+
 def _identity_symbol(arity: int, env: dict[str, Relation], domain) -> str:
     """Symbol bound to the identity of the given arity, adding it under
     its usual name (or a variant if that name is taken by something else)."""
-    ident = core.standard("identity", arity, domain)
     want = f"I{arity}"
     for name in itertools.chain((want,), (f"{want}_{i}" for i in range(2, 100))):
         bound = env.get(name)
         if bound is None:
-            env[name] = ident
+            env[name] = core.standard("identity", arity, domain)
             return name
-        if bound.arity == arity and bound.rows == ident.rows:
+        if _is_identity(bound, arity):
             return name
     raise PreconditionError("could not allocate an identity symbol")
 
@@ -314,12 +319,6 @@ def explicate_certificate(cert: ReductionCertificate) -> ReductionCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _is_identity(rel: Relation, arity: int) -> bool:
-    return rel.arity == arity and rel.rows == frozenset(
-        (e,) * arity for e in rel.domain.elements
-    )
-
-
 def de_explicate(
     f: Formula, env: dict[str, Relation]
 ) -> tuple[Formula, dict[str, Relation]]:
@@ -358,13 +357,13 @@ def de_explicate(
                     i2_symbol = _identity_symbol(
                         2, out_env, out_env[next(iter(out_env))].domain
                     )
-                atoms.append(Atom(i2_symbol, (rep, v)))
+                atoms.append(_atom(i2_symbol, (rep, v)))
             else:
                 subst[v] = rep
                 params.remove(v)
         if subst:
             atoms = [
-                Atom(a.symbol, tuple(subst.get(v, v) for v in a.args)) for a in atoms
+                _atom(a.symbol, tuple(subst.get(v, v) for v in a.args)) for a in atoms
             ]
     used = {v for a in atoms for v in a.args}
     dangling = [p for p in params if p not in used]

@@ -33,16 +33,22 @@ connected-first, smallest part first, dropping each bound variable once
 no part left to join carries it.  ``Conj`` splices nested
 conjunctions into one.
 
-A certificate verifies by one evaluation.  Each row of the value is looked
-up in the target through one picker: for each target column, in the
-target's own order, the value column of the variable ``var_map`` sends to
-it; no renamed copy is built and no scheme sorted.  Text files are opened
-with ``os.open`` and read whole with ``os.read``, decoded as text-mode
-``open`` decodes them (``_read_text``).  A bundle file whose name has one
-component, as every name ``save_certificate`` writes, is opened once with
-``O_NOFOLLOW``; only a symbolic link takes the checked walk of
-``_bundle_file``.  The relation files of one bundle share one ``Domain``
-per domain header, and the manifest is written as the text
+A certificate has one check, ``ReductionCertificate.verify``, which its
+constructor runs and ``check_certificate`` runs again.  In order, it
+refuses a closed formula for a non-0-ary target, then a ``var_map`` whose
+keys are not the free variables, whose values are not the target's scheme,
+or that sends two variables to one attribute, all before evaluating; then
+it evaluates once and looks each row of the value up in the target through
+one picker: for each target column, in the target's own order, the value
+column of the variable ``var_map`` sends to it; no renamed copy is built
+and no scheme sorted.  Every refusal is a ``VerificationError``.
+
+Text files are opened with ``os.open`` and read whole with ``os.read``,
+decoded as text-mode ``open`` decodes them (``_read_text``).  A bundle
+file whose name has one component, as every name ``save_certificate``
+writes, is opened once with ``O_NOFOLLOW``; only a symbolic link takes the
+checked walk of ``_bundle_file``.  The relation files of one bundle share
+one ``Domain`` per domain header, and the manifest is written as the text
 ``json.dumps(manifest, indent=2, sort_keys=True)`` gives, built directly.
 
 A formula's structure is computed once per node: ``free_vars`` and
@@ -67,7 +73,6 @@ from typing import Mapping, Optional, Sequence, Union
 from . import core
 from .core import Domain, Relation
 from .errors import (
-    AttributeSchemeError,
     DomainMismatchError,
     ParseError,
     PreconditionError,
@@ -494,8 +499,8 @@ def classify(f: Formula) -> ClassifyResult:
 class ReductionCertificate:
     """A formula plus factor environment whose evaluation equals the target.
 
-    ``var_map`` is the bijection free variable -> target attribute; it is
-    verified at construction time.
+    ``var_map`` is the bijection free variable -> target attribute.  Building
+    a certificate verifies it: ``verify`` is its one check.
     """
 
     target: Relation
@@ -504,40 +509,34 @@ class ReductionCertificate:
     var_map: dict[str, str]
 
     def __post_init__(self):
-        fv = free_vars(self.formula)
-        if set(self.var_map) != set(fv):
-            raise VerificationError("var_map keys do not match free variables")
-        if set(self.var_map.values()) != set(self.target.attrs):
-            raise VerificationError("var_map values do not match target scheme")
-        if len(set(self.var_map.values())) != len(self.var_map):
-            raise VerificationError("var_map is not a bijection")
         self.verify()
 
     def verify(self) -> None:
-        """Raise unless the formula evaluates to the target.  The checks
-        run in this order: a closed formula for a non-0-ary target, a value
-        over another domain or with another row count, ``var_map`` not a
-        bijection on the value's scheme (as ``core.rename`` refuses it),
-        ``var_map`` not onto the target's scheme, and the value's rows,
-        each looked up in the target through one picker that reads, for
-        each target column, the value column of its variable."""
-        value = evaluate(self.formula, self.env)
+        """Raise ``VerificationError`` unless the formula evaluates to the
+        target.  The checks run in this order: a closed formula for a
+        non-0-ary target; ``var_map``'s keys not the free variables, its
+        values not the target's scheme, two variables sent to one
+        attribute; then one evaluation, whose value must be over the
+        target's domain with its row count, and whose rows are each looked
+        up in the target through one picker that reads, for each target
+        column, the value column of its variable."""
         target = self.target
-        if not value.attrs and target.attrs:
+        free = free_vars(self.formula)
+        if not free and target.attrs:
             raise VerificationError("closed formula cannot certify a non-0-ary target")
+        if self.var_map.keys() != free:
+            raise VerificationError("var_map keys do not match free variables")
+        var_of = {a: v for v, a in self.var_map.items()}  # the inverse
+        if var_of.keys() != set(target.attrs):
+            raise VerificationError("var_map values do not match target scheme")
+        if len(var_of) != len(self.var_map):
+            raise VerificationError("var_map is not a bijection")
+        value = evaluate(self.formula, self.env)
         if value.domain != target.domain or len(value) != len(target):
             raise VerificationError(_NOT_TARGET)
-        if value.attrs:
-            var_of = {a: v for v, a in self.var_map.items()}  # the inverse
-            if self.var_map.keys() != set(value.attrs) or len(var_of) != len(value.attrs):
-                raise AttributeSchemeError("rename mapping is not a bijection on the scheme")
-            column = {v: k for k, v in enumerate(value.attrs)}
-            same = var_of.keys() == set(target.attrs) and all(map(
-                target.rows.__contains__,
-                map(core._picker([column[var_of[a]] for a in target.attrs]), value.rows)))
-        else:
-            same = value.rows == target.rows
-        if not same:
+        column = {v: k for k, v in enumerate(value.attrs)}
+        pick = core._picker([column[var_of[a]] for a in target.attrs])
+        if not all(map(target.rows.__contains__, map(pick, value.rows))):
             raise VerificationError(_NOT_TARGET)
 
 

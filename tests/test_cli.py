@@ -283,6 +283,34 @@ def test_analyze_flags(runner, workdir):
     assert res.exit_code == 0 and "no" in res.output
 
 
+_ANALYZE_MODES = "--degenerate, --join-reducible, --relprod2, --one-param, --oracle-suite"
+_DEPS_MODES = "--fd, --keys, --mvd, --admits"
+_REDUCE_MODES = "--key, --fagin, --hypostatic, --neg-join, --identity-chain"
+
+
+@pytest.mark.parametrize("args,modes", [
+    (["analyze", "I3.rel", "--degenerate", "--join-reducible"], _ANALYZE_MODES),
+    (["analyze", "I3.rel", "--join-reducible", "--degenerate"], _ANALYZE_MODES),
+    (["analyze", "I3.rel", "--relprod2", "1", "--degenerate"], _ANALYZE_MODES),
+    (["analyze", "I3.rel", "--one-param", "--oracle-suite", "-o", "out"], _ANALYZE_MODES),
+    (["analyze", "I3.rel"], _ANALYZE_MODES),
+    (["deps", "I3.rel", "--keys", "1", "--admits", "1"], _DEPS_MODES),
+    (["deps", "I3.rel", "--fd", "1:2", "--mvd", "1:2|3"], _DEPS_MODES),
+    (["deps", "I3.rel"], _DEPS_MODES),
+    (["reduce", "I3.rel", "--key", "1", "--hypostatic", "1", "-o", "out"], _REDUCE_MODES),
+    (["reduce", "I3.rel", "--identity-chain", "3", "--fagin", "1:2|3", "-o", "out"],
+     _REDUCE_MODES),
+    (["reduce", "I3.rel", "-o", "out"], _REDUCE_MODES),
+], ids=["analyze-degenerate-join", "analyze-join-degenerate", "analyze-relprod2-degenerate",
+        "analyze-one-param-oracle", "analyze-none", "deps-keys-admits", "deps-fd-mvd",
+        "deps-none", "reduce-key-hypostatic", "reduce-chain-fagin", "reduce-none"])
+def test_one_mode_per_call_exit_3(runner, workdir, args, modes):
+    res = run(runner, workdir, *args)
+    assert res.exit_code == 3
+    assert res.output == f"error: pick one of {modes}\n"
+    assert not (workdir / "out").exists()
+
+
 @pytest.mark.parametrize("args,key,label", [
     (["I3.rel", "--relprod2", "1"], "reducible", "relprod2: yes"),
     (["I3.rel", "--join-reducible"], "join_reducible", "join reducible: yes"),

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from relred.core import join, project, standard
+from relred.core import Relation, join, project, select, standard
 from relred.dependencies import (
     admits_key,
     find_keys,
@@ -12,7 +12,7 @@ from relred.dependencies import (
     is_key,
     mvd_holds,
 )
-from relred.errors import PreconditionError
+from relred.errors import AttributeSchemeError, PreconditionError
 
 from conftest import make_rel
 from oracles import fagin_join_equals
@@ -102,3 +102,25 @@ def test_mvd_matches_manual_join(d2):
     assert rep.holds
     j = join([project(r, ("1", "2")), project(r, ("1", "3"))])
     assert j.rows == r.rows
+
+
+ATTR_LIST_CALLS = {
+    "project": lambda rel, attrs: project(rel, attrs),
+    "select": lambda rel, attrs: select(rel, attrs, ["a"] * len(attrs)),
+    "functional_dep": lambda rel, attrs: functional_dep(rel, attrs, ["3"]),
+    "is_key": lambda rel, attrs: is_key(rel, attrs),
+    "mvd_holds": lambda rel, attrs: mvd_holds(rel, attrs, [["3"]]),
+}
+
+
+@pytest.mark.parametrize("call", ATTR_LIST_CALLS.values(), ids=ATTR_LIST_CALLS)
+@pytest.mark.parametrize("attrs,message", [
+    # the smallest duplicate by attribute order, not the first given
+    (["10", "2", "10", "2"], "duplicate attribute '2'"),
+    (["1", "11", "9"], "attributes ['11', '9'] not in scheme"),
+], ids=["duplicate", "missing"])
+def test_attribute_lists_are_refused_with_one_message(d2, call, attrs, message):
+    rel = Relation.make(d2, ("1", "2", "3", "10"), [("a", "a", "a", "a")])
+    with pytest.raises(AttributeSchemeError) as refused:
+        call(rel, attrs)
+    assert str(refused.value) == message

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from relred import core, diagrams
 from relred.core import Domain, Relation, standard
 from relred.diagrams import (
     bond_graph_stats,
@@ -162,6 +163,17 @@ def test_de_explicate_identity_chain(d2):
     got = evaluate(g, env2, free_order=("x1", "x2", "x3", "x4"))
     want = evaluate(cert.formula, cert.env, free_order=("x1", "x2", "x3", "x4"))
     assert got.rows == want.rows
+
+
+def test_identity_symbol_builds_an_identity_only_when_it_binds_one(d2, monkeypatch):
+    built = []
+    standard_ = core.standard
+    monkeypatch.setattr(core, "standard", lambda *a: built.append(a) or standard_(*a))
+    env = {"I3": standard_("identity", 3, d2)}
+    assert diagrams._identity_symbol(3, env, d2) == "I3" and built == []
+    env["I3"] = standard_("universal", 3, d2)
+    assert diagrams._identity_symbol(3, env, d2) == "I3_2"
+    assert built == [("identity", 3, d2)] and env["I3_2"] == standard_("identity", 3, d2)
 
 
 def test_de_explicate_requires_bond(d2):

@@ -448,8 +448,69 @@ def test_tampered_var_map_fails_check_certificate(d2):
         cert.var_map.clear()
         cert.var_map.update(tamper)
         assert not check_certificate(cert).valid
-        with pytest.raises((VerificationError, PreconditionError)):
+        with pytest.raises(VerificationError):
             cert.verify()
+
+
+_KEYS = "var_map keys do not match free variables"
+_VALUES = "var_map values do not match target scheme"
+
+# each takes a valid var_map and two of its variables, v and w
+VAR_MAP_TAMPERS = {
+    "drop-a-key": (lambda m, v, w: {x: a for x, a in m.items() if x != v}, _KEYS),
+    "add-a-key": (lambda m, v, w: dict(m, zz9=m[v]), _KEYS),
+    "two-to-one": (lambda m, v, w: dict(m, **{w: m[v]}), _VALUES),
+    "value-outside-scheme": (lambda m, v, w: dict(m, **{v: "outside"}), _VALUES),
+    "empty": (lambda m, v, w: {}, _KEYS),
+}
+
+
+@st.composite
+def certificates(draw):
+    domain = Domain("D", ("a", "b", "c")[: draw(st.integers(1, 3))])
+    attrs = draw(st.lists(st.sampled_from(("1", "2", "10", "t1", "x")),
+                          min_size=2, max_size=3, unique=True))
+    k = draw(st.integers(1, 2))
+    cells = list(itertools.product(domain.elements, repeat=len(attrs)))
+    rows = draw(st.sets(st.sampled_from(cells), max_size=domain.size ** k))
+    return hypostatic_abstraction(Relation.make(domain, attrs, rows), k)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(certificates(), st.sampled_from(sorted(VAR_MAP_TAMPERS)), st.data())
+def test_a_tampered_var_map_gets_one_message_from_every_check(cert, name, data):
+    tamper, message = VAR_MAP_TAMPERS[name]
+    v, w = data.draw(st.permutations(sorted(cert.var_map)))[:2]
+    tampered = tamper(cert.var_map, v, w)
+    with pytest.raises(VerificationError) as refused:
+        ReductionCertificate(cert.target, cert.formula, cert.env, tampered)
+    assert str(refused.value) == message
+    cert.var_map.clear()
+    cert.var_map.update(tampered)
+    with pytest.raises(VerificationError) as refused:
+        cert.verify()
+    assert str(refused.value) == message
+    assert not check_certificate(cert).valid
+
+
+def test_var_map_checks_run_in_order_before_evaluation(d2, monkeypatch):
+    target = standard("identity", 2, d2)
+    f, env = parse("P(x,y) & P(y,z)"), {"P": target}
+    # every key is a free variable and every value an attribute, but x and
+    # z share one: refused without an evaluation
+    monkeypatch.setattr("relred.formula.evaluate", None)
+    with pytest.raises(VerificationError, match="^var_map is not a bijection$"):
+        ReductionCertificate(target, f, env, {"x": "1", "y": "2", "z": "1"})
+    with pytest.raises(VerificationError, match="^var_map keys do not match free variables$"):
+        ReductionCertificate(target, f, env, {"x": "1", "y": "outside"})
+
+
+def test_a_closed_formula_for_a_non_0_ary_target_is_refused_on_construction(d2):
+    with pytest.raises(VerificationError,
+                       match="^closed formula cannot certify a non-0-ary target$"):
+        ReductionCertificate(standard("identity", 2, d2), parse("exists y . U(y)"),
+                             {"U": standard("universal", 1, d2)}, {})
 
 
 def test_env_key_that_is_no_symbol_is_refused(tmp_path, d2):
