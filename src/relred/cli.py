@@ -11,15 +11,30 @@ reads those caps (``caps.using``) until the run ends.
 which verifies by evaluation, and the verdict reuses that result;
 ``formula.check_certificate`` re-evaluates, for callers holding a
 certificate object that may have been altered since it was built.
+
+Every command, the group included, builds its parameter list and its
+option parser once, on its first invocation, and each later invocation
+parses with a shallow copy of that parser bound to its own Context; the
+cached parser keeps no Context.  The parser sends a token that is exactly
+a declared short option (``-o``, ``-k``) straight to click's short-option
+matcher, skipping the long-option lookup that would first fail and build
+a ``NoSuchOption`` with its close-match search; every other token goes
+through click unchanged, so ``-o=X`` still writes to ``=X``.  A one-shot
+``relred`` process keeps the short-option path and builds each parameter
+list once instead of twice; reusing the parser pays off only for callers
+that run many commands in one process (a test suite, a benchmark client,
+an embedder).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import sys
 
 import click
+from click.parser import _OptionParser
 
 from . import analysis, core, dependencies, diagrams, formula, reducers
 from .caps import from_env, using
@@ -45,9 +60,54 @@ def _echo(message: str, err: bool = False, nl: bool = True) -> None:
     click.echo(message, file=stream, nl=nl)
 
 
-class _Main(click.Group):
+class _Parser(_OptionParser):
+    """click's option parser, with an exact short option matched directly."""
+
+    def _process_opts(self, arg, state):
+        # click would try ``arg`` as a long option first and, on the
+        # NoSuchOption that raises, end in the short-option matcher
+        if arg in self._short_opt and self.ctx.token_normalize_func is None:
+            self._match_short_opt(arg, state)
+        else:
+            super()._process_opts(arg, state)
+
+
+class _Command(click.Command):
+    """A command whose parameter list and option parser are built once per
+    help-option names and token normalizer, and then reused."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._plans = {}
+
+    def _plan(self, ctx):
+        key = (tuple(ctx.help_option_names), ctx.token_normalize_func)
+        plan = self._plans.get(key)
+        if plan is None:
+            params = super().get_params(ctx)
+            parser = _Parser(ctx)
+            for param in params:
+                param.add_to_parser(parser, ctx)
+            parser.ctx = None  # the cached parser keeps no Context alive
+            plan = self._plans[key] = (params, parser)
+        return plan
+
+    def get_params(self, ctx):
+        return self._plan(ctx)[0]
+
+    def make_parser(self, ctx):
+        parser = copy.copy(self._plan(ctx)[1])
+        parser.ctx = ctx
+        parser.allow_interspersed_args = ctx.allow_interspersed_args
+        parser.ignore_unknown_options = ctx.ignore_unknown_options
+        return parser
+
+
+class _Main(_Command, click.Group):
     """The command group: a relred error, or an ``OSError`` on an output
     path, ends the run with one line on stderr and its exit code."""
+
+    command_class = _Command
 
     def invoke(self, ctx):
         try:
@@ -190,7 +250,7 @@ def deps_cmd(ctx, rel_file, fd, keys_k, mvd, admits):
 @click.option("--hypostatic", type=int, default=None, help="parameter count k")
 @click.option("--neg-join", "neg_join", type=click.Path(exists=True),
               default=None, help="join certificate for R; produces one for not-R")
-@click.option("-k", "k_param", type=int, default=1,
+@click.option("-k", "k_param", type=int, default=None,
               help="parameter count for --neg-join")
 @click.option("--identity-chain", "chain_n", type=int, default=None,
               help="chain length n (the relation file only supplies the domain)")
@@ -203,6 +263,8 @@ def reduce_cmd(ctx, rel_file, key, fagin, hypostatic, neg_join, k_param,
     _, rel = _load_rel(rel_file)
     _one_mode("--key, --fagin, --hypostatic, --neg-join, --identity-chain",
               key, fagin, hypostatic, neg_join, chain_n)
+    if k_param is not None and neg_join is None:
+        raise PreconditionError("-k applies only to --neg-join")
     if key is not None:
         cert = reducers.key_reduction(rel, _parse_attr_list(key))
     elif fagin is not None:
@@ -214,7 +276,7 @@ def reduce_cmd(ctx, rel_file, key, fagin, hypostatic, neg_join, k_param,
         cert = reducers.hypostatic_abstraction(rel, hypostatic)
     elif neg_join is not None:
         join_cert = _load_cert(neg_join)
-        cert = reducers.neg_join_projoin(join_cert, k_param)
+        cert = reducers.neg_join_projoin(join_cert, 1 if k_param is None else k_param)
     else:
         cert = reducers.identity_chain(chain_n, rel.domain)
     path = formula.save_certificate(cert, out)
@@ -300,6 +362,9 @@ def analyze_cmd(ctx, rel_file, degenerate, join_reducible, relprod2, one_param,
     _, rel = _load_rel(rel_file)
     _one_mode("--degenerate, --join-reducible, --relprod2, --one-param, --oracle-suite",
               degenerate, join_reducible, relprod2, one_param, oracle_suite)
+    if out is not None and (degenerate or oracle_suite):
+        raise PreconditionError("-o applies only to --relprod2, --join-reducible "
+                                "and --one-param")
     if relprod2 is not None:
         cert = analysis.rel_prod_reducible2(rel, _parse_attr_list(relprod2))
         _verdict(ctx, cert, out, "reducible", "relprod2")

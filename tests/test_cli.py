@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -109,6 +110,13 @@ def test_neg_join_pipeline(runner, workdir):
               "-k", "1", "-o", "nc")
     assert res.exit_code == 0
     assert run(runner, workdir, "verify", "nc").exit_code == 0
+    # without -k, --neg-join takes one parameter
+    assert run(runner, workdir, "reduce", "I4.rel", "--neg-join", "jc",
+               "-o", "nc0").exit_code == 0
+    names = sorted(os.listdir(workdir / "nc"))
+    assert names == sorted(os.listdir(workdir / "nc0"))
+    assert all((workdir / "nc" / f).read_bytes() == (workdir / "nc0" / f).read_bytes()
+               for f in names)
 
 
 def test_reduce_twice_into_one_bundle_directory(runner, workdir):
@@ -652,22 +660,131 @@ def test_relation_row_length_exit_2(runner, workdir):
     assert res.stderr == "parse error: line 3: row length 1 does not match scheme of arity 2\n"
 
 
-def test_in_process_run_frees_captured_output():
+def test_in_process_run_frees_captured_output(monkeypatch):
     import contextlib
     import gc
     import io
     import weakref
 
+    # every Context of a run, the group's and the command's, dies with the
+    # run: no cached parser keeps one, nor its obj or caps, alive.  The
+    # commands start with no parse plan, so this run builds and caches them.
+    for command in (main, main.commands["census"]):
+        monkeypatch.setattr(command, "_plans", {})
+    contexts = []
+    init = click.Context.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        contexts.append(weakref.ref(self))
+
+    monkeypatch.setattr(click.Context, "__init__", recording)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         main.main(args=["census", "--d", "2", "--n", "2"], standalone_mode=False)
         with pytest.raises(SystemExit):
             main.main(args=["census", "--d", "0", "--n", "2"], standalone_mode=False)
     assert out.getvalue().startswith("d,n,total") and err.getvalue().startswith("error:")
-    refs = [weakref.ref(out), weakref.ref(err)]
+    refs = [weakref.ref(out), weakref.ref(err), *contexts]
     del out, err
     gc.collect()
-    assert [r() for r in refs] == [None, None]
+    assert len(contexts) == 4 and [r() for r in refs] == [None] * len(refs)
+
+
+# Each parse case runs twice in one process: the second run parses with the
+# parser the command built and cached on its first.
+
+@pytest.mark.parametrize("spelling,dest", [
+    (["-o", "X"], "X"), (["-oX"], "X"), (["--out", "X"], "X"), (["--out=X"], "X"),
+    (["-o=X"], "=X"),
+], ids=["short", "short-attached", "long", "long-equals", "short-equals"])
+def test_out_spellings(runner, workdir, spelling, dest):
+    for _ in range(2):
+        res = run(runner, workdir, "reduce", "I4.rel", "--key", "1", *spelling)
+        assert res.exit_code == 0 and res.output == f"{dest}/certificate.json\n"
+    assert (workdir / dest / "certificate.json").is_file()
+    assert dest == "X" or not (workdir / "X").exists()
+
+
+def test_short_k_with_attached_equals_exit_2(runner, workdir):
+    assert run(runner, workdir, "reduce", "I4.rel", "--key", "1", "-o", "jc").exit_code == 0
+    for _ in range(2):
+        res = run(runner, workdir, "reduce", "I4.rel", "--neg-join", "jc", "-k=5")
+        assert res.exit_code == 2 and "'=5' is not a valid integer" in res.stderr
+
+
+def test_misspelt_long_option_suggests_exit_2(runner, workdir):
+    for _ in range(2):
+        res = run(runner, workdir, "reduce", "I4.rel", "--key", "1", "--outt", "X")
+        assert res.exit_code == 2 and "Did you mean '--out'?" in res.stderr
+    assert not (workdir / "X").exists()
+
+
+def test_format_before_the_command_applies(runner, workdir):
+    for _ in range(2):
+        res = run(runner, workdir, "--format", "json", "deps", "I4.rel", "--keys", "1")
+        assert res.exit_code == 0 and json.loads(res.output) == [["1"], ["2"], ["3"], ["4"]]
+
+
+def test_help_texts_are_stock_clicks(runner):
+    # the same declarations as stock click commands, whose help the CLI
+    # printed before it cached its parsers
+    stock = click.Group(main.name, params=list(main.params), help=main.help, commands=[
+        click.Command(name, params=list(cmd.params), help=cmd.help)
+        for name, cmd in main.commands.items()
+    ])
+    for args in [["--help"], *([name, "--help"] for name in sorted(main.commands))]:
+        expected = runner.invoke(stock, args)
+        assert expected.exit_code == 0 and expected.output.startswith("Usage: main ")
+        for _ in range(2):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0 and res.output == expected.output
+
+
+def test_each_command_builds_its_parser_once(runner, workdir, monkeypatch):
+    import click.exceptions
+    import click.parser
+
+    counts = {}
+
+    def counting(cls, key):
+        init = cls.__init__
+
+        def wrapped(self, *args, **kwargs):
+            counts[key] = counts.get(key, 0) + 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", wrapped)
+
+    counting(click.parser._OptionParser, "parsers")
+    counting(click.exceptions.NoSuchOption, "no_such_option")
+    pipeline = (["reduce", "I4.rel", "--hypostatic", "1", "-o", "h"],
+                ["explicate", "h", "-o", "b"], ["merge", "b", "-o", "m"], ["verify", "m"])
+    passes = []
+    for _ in range(2):
+        counts.clear()
+        for args in pipeline:
+            assert run(runner, workdir, *args).exit_code == 0
+        passes.append(dict(counts))
+    # stock click built two parsers an invocation, and a NoSuchOption for
+    # each -o: the group and four commands build at most one each, once
+    assert "no_such_option" not in passes[0] and passes[0].get("parsers", 0) <= 5
+    assert passes[1] == {}
+
+
+@pytest.mark.parametrize("args,message", [
+    (["analyze", "I3.rel", "--degenerate", "-o", "x"],
+     "-o applies only to --relprod2, --join-reducible and --one-param"),
+    (["analyze", "I3.rel", "--oracle-suite", "-o", "x"],
+     "-o applies only to --relprod2, --join-reducible and --one-param"),
+    (["reduce", "I4.rel", "--key", "1", "-k", "5", "-o", "x"], "-k applies only to --neg-join"),
+    (["reduce", "I4.rel", "--key", "1", "-k", "1", "-o", "x"], "-k applies only to --neg-join"),
+], ids=["analyze-degenerate", "analyze-oracle-suite", "reduce-key-k5", "reduce-key-k1"])
+def test_option_of_another_mode_exit_3(runner, workdir, args, message):
+    res = run(runner, workdir, *args)
+    assert res.exit_code == 3
+    assert res.stdout == "" and res.stderr == f"error: {message}\n"
+    assert not (workdir / "x").exists()
 
 
 def test_verify_dangling_symlink_in_bundle_exit_2(bundle, workdir):
