@@ -12,26 +12,37 @@ which verifies by evaluation, and the verdict reuses that result;
 ``formula.check_certificate`` re-evaluates, for callers holding a
 certificate object that may have been altered since it was built.
 
-Every command, the group included, builds its parameter list and its
-option parser once, on its first invocation, and each later invocation
-parses with a shallow copy of that parser bound to its own Context; the
-cached parser keeps no Context.  The parser sends a token that is exactly
-a declared short option (``-o``, ``-k``) straight to click's short-option
+Every command, the group included, builds a parse plan once per process,
+on its first invocation: its parameter list, its option parser, and the
+value each plain parameter takes when the command line leaves it unset.
+A plain parameter is an option with no callback, environment variable,
+prompt or deprecation, not required, taking one value, whose default is
+None or a string, number, flag or choice; its default is converted once,
+by click, and so is the help option's unset value.  Each invocation parses
+with a shallow copy of the plan's parser bound to its own Context; the
+plan keeps no Context.  Only what the command line gives, the positional
+arguments and the parameters that are not plain go through click's
+per-parameter processing, in click's order, so every check and message
+stays click's.  A default map, an environment-variable prefix, resilient
+parsing (shell completion) and an empty command line that asks for help
+are left to stock click.  The parser sends a token that is exactly a
+declared short option (``-o``, ``-k``) straight to click's short-option
 matcher, skipping the long-option lookup that would first fail and build
 a ``NoSuchOption`` with its close-match search; every other token goes
 through click unchanged, so ``-o=X`` still writes to ``=X``.  A one-shot
-``relred`` process keeps the short-option path and builds each parameter
-list once instead of twice; reusing the parser pays off only for callers
-that run many commands in one process (a test suite, a benchmark client,
-an embedder).
+``relred`` process builds one plan per command it runs, about the work of
+click's own pass; reusing the plan pays off for callers that run many
+commands in one process (a test suite, a benchmark client, an embedder).
 """
 
 from __future__ import annotations
 
+import collections
 import copy
 import json
 import os
 import sys
+from gettext import ngettext
 
 import click
 from click.parser import _OptionParser
@@ -72,9 +83,68 @@ class _Parser(_OptionParser):
             super()._process_opts(arg, state)
 
 
+# click 8.3+ leaves a value that no source set as this sentinel until
+# parse_args ends, and then makes it None; click 8.2 uses None throughout
+_UNSET = getattr(click.core, "UNSET", None)
+# types whose conversion of a default reads no file and returns an
+# immutable value, so that one converted default serves every invocation
+_PLAIN_TYPES = (click.types.StringParamType, click.types.IntParamType,
+                click.types.BoolParamType, click.Choice)
+
+
+def _plain(param) -> bool:
+    """Whether an unset ``param`` takes the same value on every invocation
+    that has no default map, environment prefix or resilient parsing."""
+    return (isinstance(param, click.Option) and not param.required
+            and param.envvar is None and param.callback is None
+            and param.prompt is None and not param.deprecated
+            and param.nargs == 1 and not param.multiple
+            and not callable(param.default)
+            and (param.default is None or isinstance(param.type, _PLAIN_TYPES)))
+
+
+class _Plan:
+    """A command's parameters and option parser, for one help-option names
+    and token normalizer, and the value click gives each plain parameter,
+    and the help option, when the command line leaves it unset."""
+
+    def __init__(self, command, ctx):
+        self.params = click.Command.get_params(command, ctx)
+        self.parser = _Parser(ctx)
+        for param in self.params:
+            param.add_to_parser(self.parser, ctx)
+        self.parser.ctx = None  # the cached parser keeps no Context alive
+        self.eager = [p for p in self.params if p.is_eager]
+        self.lazy = [p for p in self.params if not p.is_eager]
+        # anything past the declared parameters is the help option, whose
+        # callback returns at once on an unset flag
+        names = collections.Counter(p.name for p in self.params)
+        self.candidates = [p for i, p in enumerate(self.params)
+                           if i >= len(command.params)
+                           or (names[p.name] == 1 and _plain(p))]
+        self.unset = None
+
+    def unset_values(self, ctx):
+        """``{param: (value, source)}``, converted by click on the first
+        invocation that reads it; a default that click refuses is left out,
+        so that click refuses it in its turn on every invocation."""
+        if self.unset is None:
+            unset = {}
+            for param in self.candidates:
+                try:
+                    value, source = param.consume_value(ctx, {})
+                    value = param.process_value(ctx, value)
+                except click.ClickException:
+                    continue
+                unset[param] = (value, source)
+            self.unset = unset
+        return self.unset
+
+
 class _Command(click.Command):
     """A command whose parameter list and option parser are built once per
-    help-option names and token normalizer, and then reused."""
+    help-option names and token normalizer, and then reused, and whose
+    parameters left unset take the values of that plan."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -84,28 +154,62 @@ class _Command(click.Command):
         key = (tuple(ctx.help_option_names), ctx.token_normalize_func)
         plan = self._plans.get(key)
         if plan is None:
-            params = super().get_params(ctx)
-            parser = _Parser(ctx)
-            for param in params:
-                param.add_to_parser(parser, ctx)
-            parser.ctx = None  # the cached parser keeps no Context alive
-            plan = self._plans[key] = (params, parser)
+            plan = self._plans[key] = _Plan(self, ctx)
         return plan
 
     def get_params(self, ctx):
-        return self._plan(ctx)[0]
+        return self._plan(ctx).params
 
     def make_parser(self, ctx):
-        parser = copy.copy(self._plan(ctx)[1])
+        parser = copy.copy(self._plan(ctx).parser)
         parser.ctx = ctx
         parser.allow_interspersed_args = ctx.allow_interspersed_args
         parser.ignore_unknown_options = ctx.ignore_unknown_options
         return parser
 
+    def parse_args(self, ctx, args):
+        # a default map, an environment prefix or shell completion can
+        # change what an unset parameter reads, so stock click handles them
+        if (ctx.default_map is not None or ctx.auto_envvar_prefix is not None
+                or ctx.resilient_parsing or (self.no_args_is_help and not args)):
+            return super().parse_args(ctx, args)
+        plan = self._plan(ctx)
+        unset = plan.unset_values(ctx)
+        parser = self.make_parser(ctx)
+        opts, args, order = parser.parse_args(args=args)
+        given = dict.fromkeys(order)
+        # click's processing order: eager parameters first, and in each of
+        # the two groups those given in invocation order, then the rest in
+        # declaration order
+        sequence = [p for p in given if p.is_eager]
+        sequence += [p for p in plan.eager if p not in given]
+        sequence += [p for p in given if not p.is_eager]
+        sequence += [p for p in plan.lazy if p not in given]
+        for param in sequence:
+            if param in given or param not in unset:
+                _, args = param.handle_parse_result(ctx, opts, args)
+            else:
+                value, source = unset[param]
+                ctx.set_parameter_source(param.name, source)
+                if param.expose_value:
+                    ctx.params[param.name] = value
+        for name, value in ctx.params.items():
+            if value is _UNSET:
+                ctx.params[name] = None
+        if args and not ctx.allow_extra_args:
+            ctx.fail(ngettext("Got unexpected extra argument ({args})",
+                              "Got unexpected extra arguments ({args})",
+                              len(args)).format(args=" ".join(map(str, args))))
+        ctx.args = args
+        ctx._opt_prefixes.update(parser._opt_prefixes)
+        return args
 
-class _Main(_Command, click.Group):
+
+class _Main(click.Group, _Command):
     """The command group: a relred error, or an ``OSError`` on an output
-    path, ends the run with one line on stderr and its exit code."""
+    path, ends the run with one line on stderr and its exit code.  click's
+    ``Group.parse_args`` comes first, and splits the command off what
+    ``_Command.parse_args`` leaves."""
 
     command_class = _Command
 

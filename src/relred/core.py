@@ -46,7 +46,7 @@ import itertools
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from operator import itemgetter, lt
 from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -65,7 +65,8 @@ _NAME_RE = re.compile(r"^[^\s#(),|]+$")
 
 
 def attr_key(name: str):
-    """Canonical sort key: numeric names sort numerically, the rest lexically."""
+    """Canonical sort key: numeric names sort numerically, the rest
+    lexically.  The key ends with the name itself."""
     if name.isdigit():
         return (0, int(name), name)
     return (1, 0, name)
@@ -78,12 +79,19 @@ def _check_names(names: Iterable[str], what: str) -> None:
             raise PreconditionError(f"bad {what} {name!r}")
 
 
-def canonical_attrs(attrs: Iterable[str]) -> tuple[str, ...]:
-    out = sorted(attrs, key=attr_key)
+def _canonical(attrs: Iterable[str]) -> tuple[tuple[str, ...], list]:
+    """``attrs`` in canonical order, and their keys in that order; raises
+    on a duplicate."""
+    keys = sorted(map(attr_key, attrs))
+    out = tuple([key[-1] for key in keys])
     if len(set(out)) < len(out):
         a = next(a for a, b in zip(out, out[1:]) if a == b)
         raise AttributeSchemeError(f"duplicate attribute {a!r}")
-    return tuple(out)
+    return out, keys
+
+
+def canonical_attrs(attrs: Iterable[str]) -> tuple[str, ...]:
+    return _canonical(attrs)[0]
 
 
 @dataclass(frozen=True)
@@ -131,10 +139,12 @@ class Relation:
     domain: Domain
     attrs: tuple[str, ...]
     rows: frozenset[tuple[str, ...]] = field(default_factory=frozenset)
+    # the keys of ``attrs``, when the caller has just sorted by them
+    _keys: InitVar[Optional[list]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _keys=None):
         _check_names(self.attrs, "attribute name")
-        keys = [*map(attr_key, self.attrs)]
+        keys = [*map(attr_key, self.attrs)] if _keys is None else _keys
         if not isinstance(self.attrs, tuple) or not all(map(lt, keys, keys[1:])):
             canonical_attrs(self.attrs)  # raises on a duplicate
             raise AttributeSchemeError("attributes not in canonical order; use Relation.make")
@@ -160,7 +170,7 @@ class Relation:
         """Build a relation, accepting rows as sequences (in the given
         attribute order) or as attribute->value mappings."""
         given = tuple(attrs)
-        canon = canonical_attrs(given)
+        canon, keys = _canonical(given)
         pick = _picker([given.index(a) for a in canon])
         out = set()
         for row in rows:
@@ -172,7 +182,7 @@ class Relation:
                 if len(row) != len(given):
                     raise AttributeSchemeError("row length does not match scheme")
                 out.add(pick(row))
-        return Relation(domain, canon, frozenset(out))
+        return Relation(domain, canon, frozenset(out), keys)
 
     @property
     def scheme(self) -> frozenset[str]:
@@ -569,7 +579,7 @@ def load_relation(text: str, domains: Optional[dict] = None) -> tuple[str, Relat
             f"line {number}: row length {len(row)} does not match "
             f"scheme of arity {len(attrs)}"
         )
-    canon = canonical_attrs(attrs)
+    canon, keys = _canonical(attrs)
     if canon != attrs:
         rows = map(_picker([attrs.index(a) for a in canon]), rows)
-    return m.group("name"), Relation(domain, canon, frozenset(rows))
+    return m.group("name"), Relation(domain, canon, frozenset(rows), keys)

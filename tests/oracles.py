@@ -1,10 +1,13 @@
 """Brute-force reference implementations used to cross-check the library.
 
 Everything here works on plain tuples and sets so that the answers do not
-depend on any code path under test.
+depend on any code path under test; the reference command line is stock
+click, built from the same declarations as ``relred.cli``.
 """
 
 import itertools
+
+import click
 
 from relred.errors import ParseError
 from relred.formula import MAX_NESTING, SYMBOL_RE, VAR_RE, Atom, Conj, Exists
@@ -364,3 +367,24 @@ def reference_parse(text: str):
     if p.pos != len(p.text):
         p.error("trailing input")
     return f
+
+
+def stock_cli(group):
+    """Stock click commands with ``group``'s declarations: a ``click.Group``
+    of ``click.Command``s with the same parameters and help texts."""
+    return click.Group(group.name, params=list(group.params), help=group.help, commands=[
+        click.Command(name, params=list(cmd.params), help=cmd.help)
+        for name, cmd in group.commands.items()
+    ])
+
+
+def parse_outcome(command, name, args, **extra):
+    """The Context ``command.make_context`` makes of ``args``, and what it
+    read: ``("ok", params, the source of every parameter, extra args)``, or
+    None and ``("error", exception class, message)``."""
+    try:
+        ctx = command.make_context(name, list(args), **extra)
+    except click.ClickException as e:
+        return None, ("error", type(e), e.format_message())
+    sources = {p.name: ctx.get_parameter_source(p.name) for p in command.get_params(ctx)}
+    return ctx, ("ok", ctx.params, sources, ctx.args)

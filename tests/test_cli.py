@@ -11,9 +11,10 @@ import pytest
 from click.testing import CliRunner
 
 import relred
+from oracles import parse_outcome, stock_cli
 from relred import analysis, formula
 from relred.caps import Caps
-from relred.cli import main
+from relred.cli import _Command, main
 from relred.core import Domain, Relation, complement, dump_relation, standard
 
 
@@ -729,10 +730,7 @@ def test_format_before_the_command_applies(runner, workdir):
 def test_help_texts_are_stock_clicks(runner):
     # the same declarations as stock click commands, whose help the CLI
     # printed before it cached its parsers
-    stock = click.Group(main.name, params=list(main.params), help=main.help, commands=[
-        click.Command(name, params=list(cmd.params), help=cmd.help)
-        for name, cmd in main.commands.items()
-    ])
+    stock = stock_cli(main)
     for args in [["--help"], *([name, "--help"] for name in sorted(main.commands))]:
         expected = runner.invoke(stock, args)
         assert expected.exit_code == 0 and expected.output.startswith("Usage: main ")
@@ -770,6 +768,93 @@ def test_each_command_builds_its_parser_once(runner, workdir, monkeypatch):
     # each -o: the group and four commands build at most one each, once
     assert "no_such_option" not in passes[0] and passes[0].get("parsers", 0) <= 5
     assert passes[1] == {}
+
+
+def test_only_what_the_command_line_gives_is_processed_by_click(runner, workdir, monkeypatch):
+    # an unset option takes the value its command's plan holds, on the
+    # first invocation that builds the plan and on every later one
+    for command in (main, main.commands["analyze"]):
+        monkeypatch.setattr(command, "_plans", {})
+    processed = []
+    handle = click.core.Parameter.handle_parse_result
+
+    def recording(self, ctx, opts, args):
+        processed.append(self.name)
+        return handle(self, ctx, opts, args)
+
+    monkeypatch.setattr(click.core.Parameter, "handle_parse_result", recording)
+    for _ in range(2):
+        processed.clear()
+        res = run(runner, workdir, "analyze", "I3.rel", "--degenerate")
+        assert res.exit_code == 0 and res.output == "degenerate: no\n"
+        assert sorted(processed) == ["degenerate", "rel_file"]
+    pipeline = [(["reduce", "I4.rel", "--hypostatic", "1", "-o", "h"],
+                 ["hypostatic", "out", "rel_file"]),
+                (["explicate", "h", "-o", "b"], ["cert_file", "out"]),
+                (["merge", "b", "-o", "m"], ["cert_file", "out"]),
+                (["verify", "m"], ["cert_file"])]
+    for args, given in pipeline:
+        processed.clear()
+        assert run(runner, workdir, *args).exit_code == 0
+        assert sorted(processed) == given
+
+
+def test_default_map_envvar_prefix_and_resilient_parsing_read_as_stock_click(runner, monkeypatch):
+    census = ["census", "--d", "2", "--n", "3", "--sample", "5"]
+    defaults = {"fmt": "json", "census": {"seed": 5}}  # keyed by parameter name
+    monkeypatch.setenv("RELRED_TEST_FMT", "json")
+    monkeypatch.setenv("RELRED_TEST_CENSUS_SEED", "5")
+    given = runner.invoke(main, ["--format", "json", *census, "--seed", "5"])
+    unseeded = runner.invoke(main, ["--format", "json", *census])
+    assert given.exit_code == 0 and given.output != unseeded.output
+    for extra in ({"default_map": defaults}, {"auto_envvar_prefix": "RELRED_TEST"}):
+        res = runner.invoke(main, census, **extra)
+        assert res.exit_code == 0 and res.output == given.output
+    # a command's Context takes its part of the group's default map, but is
+    # told to parse resiliently, as shell completion tells every Context
+    resilient = {"resilient_parsing": True}
+    stock = stock_cli(main)
+    for args, extra, command_extra in [(census, {"default_map": defaults}, {}),
+                                       (census, resilient, resilient),
+                                       (["census", "--sample"], resilient, resilient),
+                                       ([*census, "stray"], resilient, resilient),
+                                       (["census", "--d", "x"], resilient, resilient)]:
+        group_ctx, outcome = parse_outcome(main, "main", args, **extra)
+        stock_ctx, expected = parse_outcome(stock, "main", args, **extra)
+        assert outcome == expected
+        _, outcome = parse_outcome(main.commands["census"], "census", args[1:],
+                                   parent=group_ctx, **command_extra)
+        _, expected = parse_outcome(stock.commands["census"], "census", args[1:],
+                                    parent=stock_ctx, **command_extra)
+        assert outcome == expected
+    assert outcome[0] == "ok" and outcome[1]["d"] is None  # resilient, not refused
+    assert group_ctx.get_parameter_source("fmt") == click.core.ParameterSource.DEFAULT
+
+
+def test_plan_reads_as_stock_click_on_other_declarations(tmp_path, monkeypatch):
+    # declarations relred does not use: an option and an argument with no
+    # value from any source, a feature switch of two options sharing one
+    # name, a counter, an environment variable, a callback, an eager option
+    monkeypatch.setenv("PLAN_TEST_LEVEL", "7")
+    params = [
+        click.Argument(["name"], required=False),
+        click.Option(["--path"], type=click.Path(exists=True)),
+        click.Option(["--upper", "case"], flag_value="upper", default=True),
+        click.Option(["--lower", "case"], flag_value="lower"),
+        click.Option(["-v", "verbose"], count=True),
+        click.Option(["--level"], type=int, envvar="PLAN_TEST_LEVEL"),
+        click.Option(["--size"], type=int, default=3, callback=lambda c, p, v: v * 2),
+        click.Option(["--mode"], type=click.Choice(["a", "b"]), default="a", is_eager=True),
+        click.Option(["--tag"]),
+    ]
+    ours = _Command("c", params=params)
+    stock = click.Command("c", params=params)
+    (tmp_path / "f").write_text("")
+    for args in [[], ["n"], ["n", "extra"], ["--lower", "-vv", "--tag", "t"],
+                 ["--size", "x", "--mode", "c"], ["--path", str(tmp_path / "f")],
+                 ["--path", str(tmp_path / "missing"), "--level", "x"], ["--mode", "b"]]:
+        for _ in range(2):
+            assert parse_outcome(ours, "c", args)[1] == parse_outcome(stock, "c", args)[1], args
 
 
 @pytest.mark.parametrize("args,message", [

@@ -7,8 +7,9 @@ by mistake -- a valid relation and formula, a malformed and a non-UTF-8
 relation, a directory, a missing path, a regular file where a directory is
 written, and a saved bundle.  Each example runs in a fresh copy of that
 pool, so outputs written by one example are not inputs to the next.  The
-run must end with exit 0, 2, 3, 4 or 5 and print no traceback.  Examples
-are derandomized so that the suite stays deterministic.
+run must end with exit 0, 2, 3, 4 or 5 and print no traceback.  The same
+invocations, with stray tokens added, must parse as they do with stock
+click.  Examples are derandomized so that the suite stays deterministic.
 """
 
 import os
@@ -20,6 +21,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import parse_outcome, stock_cli
 from relred.cli import main
 from relred.core import Domain, dump_relation, standard
 from relred.formula import save_certificate
@@ -37,6 +39,9 @@ REL = st.one_of(st.just("valid.rel"), PATHS)
 FORMULA = st.one_of(st.just("chain.txt"), PATHS)
 CERT = st.one_of(st.just("bundle"), PATHS)
 OUTS = st.sampled_from(("out", "adir", "taken", "bundle", "missing"))
+# tokens no command declares: an extra argument, unknown options, an option
+# without its value
+STRAYS = st.lists(st.sampled_from(("stray", "--nope", "-q", "-o", "--seed")), max_size=2)
 
 # command -> (positional argument, required flags,
 #             {flag: value strategy, or None for a switch})
@@ -112,3 +117,42 @@ def test_every_invocation_ends_in_an_exit_code(pool, args):
             os.chdir(cwd)
     assert res.exit_code in (0, 2, 3, 4, 5), (args, res.output, res.exception)
     assert "Traceback" not in res.output, (args, res.output)
+
+
+STOCK = stock_cli(main)
+
+
+@st.composite
+def misparsed(draw) -> list[str]:
+    """An invocation, its positional argument a missing path for some, then
+    options of its command with values of the wrong kind for some (a word
+    for a number, a missing path), then stray tokens."""
+    args = draw(invocations())
+    at = 2 if args[0] == "--format" else 0
+    command = args[at]
+    if GRAMMAR[command][0] is not None and draw(st.booleans()):
+        args[at + 1] = "missing"
+    flags = sorted(f for f, value in GRAMMAR[command][2].items() if value is not None)
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=2)) if flags else []:
+        args += [flag, draw(st.sampled_from(("x", "missing")))]
+    return args + draw(STRAYS)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(misparsed())
+def test_every_invocation_parses_as_stock_click(pool, args):
+    # the group parses up to the command name, which sits after any --format
+    at = 2 if args[0] == "--format" else 0
+    cwd = os.getcwd()
+    os.chdir(pool)  # only parsed, so nothing is written
+    try:
+        group_ctx, outcome = parse_outcome(main, "main", args)
+        stock_ctx, expected = parse_outcome(STOCK, "main", args)
+        assert outcome == expected, args
+        name, rest = args[at], args[at + 1:]
+        _, outcome = parse_outcome(main.commands[name], name, rest, parent=group_ctx)
+        _, expected = parse_outcome(STOCK.commands[name], name, rest, parent=stock_ctx)
+        assert outcome == expected, args
+    finally:
+        os.chdir(cwd)

@@ -168,6 +168,17 @@ def test_load_row_length_names_the_line(text, line):
         load_relation(text)
 
 
+@pytest.mark.parametrize("scheme", ["1 a,b 1", "a,b 2 2", "x x ."])
+def test_load_reports_a_duplicate_before_a_bad_name(scheme):
+    # the sort that finds the duplicate comes before the name check
+    text = f"@relation R over D(a)\n{scheme}\na a a\n"
+    with pytest.raises(AttributeSchemeError, match="^duplicate attribute"):
+        load_relation(text)
+    fixed = " ".join(dict.fromkeys(scheme.split())) + " z"
+    with pytest.raises(PreconditionError, match="^bad attribute name"):
+        load_relation(text.replace(scheme, fixed))
+
+
 def test_load_nullary():
     # "." in the rows section is the empty tuple, so this is the true relation
     name, r = load_relation("@relation T over D(a)\n.\n.\n")
