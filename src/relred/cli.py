@@ -13,36 +13,35 @@ which verifies by evaluation, and the verdict reuses that result;
 certificate object that may have been altered since it was built.
 
 Every command, the group included, builds a parse plan once per process,
-on its first invocation: its parameter list, its option parser, and the
-value each plain parameter takes when the command line leaves it unset.
-A plain parameter is an option with no callback, environment variable,
-prompt or deprecation, not required, taking one value, whose default is
-None or a string, number, flag or choice; its default is converted once,
-by click, and so is the help option's unset value.  Each invocation parses
-with a shallow copy of the plan's parser bound to its own Context; the
-plan keeps no Context.  Only what the command line gives, the positional
-arguments and the parameters that are not plain go through click's
-per-parameter processing, in click's order, so every check and message
-stays click's.  A default map, an environment-variable prefix, resilient
-parsing (shell completion) and an empty command line that asks for help
-are left to stock click.  The parser sends a token that is exactly a
-declared short option (``-o``, ``-k``) straight to click's short-option
-matcher, skipping the long-option lookup that would first fail and build
-a ``NoSuchOption`` with its close-match search; every other token goes
-through click unchanged, so ``-o=X`` still writes to ``=X``.  A one-shot
-``relred`` process builds one plan per command it runs, about the work of
-click's own pass; reusing the plan pays off for callers that run many
-commands in one process (a test suite, a benchmark client, an embedder).
+on its first invocation: its parameter list and its option parser.  Each
+invocation parses with a shallow copy of the plan's parser bound to its
+own Context; the plan keeps no Context.  click's ``Command.parse_args`` is
+the one processing loop, so every check and message stays click's.  An
+option that the command line leaves unset and that is plain takes the
+value and source click converted for it on its first such invocation,
+and skips click's processing.  A plain option has no callback,
+environment variable, prompt or deprecation, is not required, takes one
+value, shares its name with no other parameter, and has a default that
+is None or a string, number, flag or choice, which click accepts; so
+does the help option, whose callback returns at once on an unset flag.
+Under a default map, an environment-variable prefix, a token normalizer
+or resilient parsing (shell completion), click processes every option.
+The parser sends a token that is exactly a declared short option (``-o``,
+``-k``) straight to click's short-option matcher, skipping the
+long-option lookup that would first fail and build a ``NoSuchOption``
+with its close-match search; every other token goes through click
+unchanged, so ``-o=X`` still writes to ``=X``.  A one-shot ``relred``
+process builds one plan per command it runs, about the work of click's
+own pass; reusing the plan pays off for callers that run many commands
+in one process (a test suite, a benchmark client, an embedder).
 """
 
 from __future__ import annotations
 
-import collections
-import copy
+import functools
 import json
 import os
 import sys
-from gettext import ngettext
 
 import click
 from click.parser import _OptionParser
@@ -83,9 +82,6 @@ class _Parser(_OptionParser):
             super()._process_opts(arg, state)
 
 
-# click 8.3+ leaves a value that no source set as this sentinel until
-# parse_args ends, and then makes it None; click 8.2 uses None throughout
-_UNSET = getattr(click.core, "UNSET", None)
 # types whose conversion of a default reads no file and returns an
 # immutable value, so that one converted default serves every invocation
 _PLAIN_TYPES = (click.types.StringParamType, click.types.IntParamType,
@@ -94,8 +90,9 @@ _PLAIN_TYPES = (click.types.StringParamType, click.types.IntParamType,
 
 def _plain(param) -> bool:
     """Whether an unset ``param`` takes the same value on every invocation
-    that has no default map, environment prefix or resilient parsing."""
-    return (isinstance(param, click.Option) and not param.required
+    that has no default map, environment prefix, token normalizer or
+    resilient parsing."""
+    return (not param.required
             and param.envvar is None and param.callback is None
             and param.prompt is None and not param.deprecated
             and param.nargs == 1 and not param.multiple
@@ -103,113 +100,97 @@ def _plain(param) -> bool:
             and (param.default is None or isinstance(param.type, _PLAIN_TYPES)))
 
 
-class _Plan:
-    """A command's parameters and option parser, for one help-option names
-    and token normalizer, and the value click gives each plain parameter,
-    and the help option, when the command line leaves it unset."""
+class _Option(click.Option):
+    """A click option that, plain and left unset, takes the value and
+    source click converted for it on its first such invocation."""
 
-    def __init__(self, command, ctx):
-        self.params = click.Command.get_params(command, ctx)
-        self.parser = _Parser(ctx)
-        for param in self.params:
-            param.add_to_parser(self.parser, ctx)
-        self.parser.ctx = None  # the cached parser keeps no Context alive
-        self.eager = [p for p in self.params if p.is_eager]
-        self.lazy = [p for p in self.params if not p.is_eager]
-        # anything past the declared parameters is the help option, whose
-        # callback returns at once on an unset flag
-        names = collections.Counter(p.name for p in self.params)
-        self.candidates = [p for i, p in enumerate(self.params)
-                           if i >= len(command.params)
-                           or (names[p.name] == 1 and _plain(p))]
-        self.unset = None
+    # (value, source) of the option left unset: None until first read,
+    # False when click processes it on every invocation
+    unset = None
 
-    def unset_values(self, ctx):
-        """``{param: (value, source)}``, converted by click on the first
-        invocation that reads it; a default that click refuses is left out,
-        so that click refuses it in its turn on every invocation."""
-        if self.unset is None:
-            unset = {}
-            for param in self.candidates:
-                try:
-                    value, source = param.consume_value(ctx, {})
-                    value = param.process_value(ctx, value)
-                except click.ClickException:
-                    continue
-                unset[param] = (value, source)
-            self.unset = unset
-        return self.unset
+    def handle_parse_result(self, ctx, opts, args):
+        if (self.name not in opts and ctx.default_map is None
+                and ctx.auto_envvar_prefix is None
+                and ctx.token_normalize_func is None and not ctx.resilient_parsing):
+            if self.unset is None:
+                self.unset = self._convert_unset(ctx)
+            if self.unset:
+                value, source = self.unset
+                ctx.set_parameter_source(self.name, source)
+                if self.expose_value:
+                    ctx.params[self.name] = value
+                return value, args
+        return super().handle_parse_result(ctx, opts, args)
+
+    def _convert_unset(self, ctx):
+        """``(value, source)`` of the option left unset, converted by click,
+        or False for an option that is not plain, whose name click
+        arbitrates between several parameters, or whose default click
+        refuses, so that click refuses it in its turn on every invocation.
+        The help option's callback returns at once on an unset flag."""
+        command = ctx.command
+        names = [p.name for p in command.get_params(ctx)]
+        if names.count(self.name) > 1 or not (
+                _plain(self) or self is command.get_help_option(ctx)):
+            return False
+        try:
+            value, source = self.consume_value(ctx, {})
+            return self.process_value(ctx, value), source
+        except click.ClickException:
+            return False
+
+
+_option = functools.partial(click.option, cls=_Option)
 
 
 class _Command(click.Command):
     """A command whose parameter list and option parser are built once per
-    help-option names and token normalizer, and then reused, and whose
-    parameters left unset take the values of that plan."""
+    help-option names and token normalizer, and then reused, and whose help
+    option is an ``_Option``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._plans = {}
 
     def _plan(self, ctx):
+        """``(parameters, parser)``, built on the first invocation."""
         key = (tuple(ctx.help_option_names), ctx.token_normalize_func)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = _Plan(self, ctx)
+            params = click.Command.get_params(self, ctx)
+            parser = _Parser(ctx)
+            for param in params:
+                param.add_to_parser(parser, ctx)
+            parser.ctx = None  # the cached parser keeps no Context alive
+            plan = self._plans[key] = params, parser
         return plan
 
     def get_params(self, ctx):
-        return self._plan(ctx).params
+        return self._plan(ctx)[0]
+
+    def get_help_option(self, ctx):
+        # click builds the help option once and keeps it in _help_option
+        names = self.get_help_option_names(ctx)
+        if names and self.add_help_option and self._help_option is None:
+            click.help_option(*names, cls=_Option)(self)
+            self._help_option = self.params.pop()
+        return super().get_help_option(ctx)
 
     def make_parser(self, ctx):
-        parser = copy.copy(self._plan(ctx).parser)
+        # a shallow copy of the plan's parser, bound to this Context
+        parser = object.__new__(_Parser)
+        parser.__dict__.update(self._plan(ctx)[1].__dict__)
         parser.ctx = ctx
         parser.allow_interspersed_args = ctx.allow_interspersed_args
         parser.ignore_unknown_options = ctx.ignore_unknown_options
         return parser
 
-    def parse_args(self, ctx, args):
-        # a default map, an environment prefix or shell completion can
-        # change what an unset parameter reads, so stock click handles them
-        if (ctx.default_map is not None or ctx.auto_envvar_prefix is not None
-                or ctx.resilient_parsing or (self.no_args_is_help and not args)):
-            return super().parse_args(ctx, args)
-        plan = self._plan(ctx)
-        unset = plan.unset_values(ctx)
-        parser = self.make_parser(ctx)
-        opts, args, order = parser.parse_args(args=args)
-        given = dict.fromkeys(order)
-        # click's processing order: eager parameters first, and in each of
-        # the two groups those given in invocation order, then the rest in
-        # declaration order
-        sequence = [p for p in given if p.is_eager]
-        sequence += [p for p in plan.eager if p not in given]
-        sequence += [p for p in given if not p.is_eager]
-        sequence += [p for p in plan.lazy if p not in given]
-        for param in sequence:
-            if param in given or param not in unset:
-                _, args = param.handle_parse_result(ctx, opts, args)
-            else:
-                value, source = unset[param]
-                ctx.set_parameter_source(param.name, source)
-                if param.expose_value:
-                    ctx.params[param.name] = value
-        for name, value in ctx.params.items():
-            if value is _UNSET:
-                ctx.params[name] = None
-        if args and not ctx.allow_extra_args:
-            ctx.fail(ngettext("Got unexpected extra argument ({args})",
-                              "Got unexpected extra arguments ({args})",
-                              len(args)).format(args=" ".join(map(str, args))))
-        ctx.args = args
-        ctx._opt_prefixes.update(parser._opt_prefixes)
-        return args
-
 
 class _Main(click.Group, _Command):
     """The command group: a relred error, or an ``OSError`` on an output
-    path, ends the run with one line on stderr and its exit code.  click's
-    ``Group.parse_args`` comes first, and splits the command off what
-    ``_Command.parse_args`` leaves."""
+    path, ends the run with one line on stderr and its exit code.  It
+    reuses its parse plan and help option as a ``_Command`` does, and its
+    subcommands are ``_Command``s."""
 
     command_class = _Command
 
@@ -279,7 +260,7 @@ def _verdict(ctx, cert, out, key, label):
 
 
 @click.group(cls=_Main)
-@click.option("--format", "fmt", type=click.Choice(["json", "text", "csv"]),
+@_option("--format", "fmt", type=click.Choice(["json", "text", "csv"]),
               default="text", help="output format")
 @click.pass_context
 def main(ctx, fmt):
@@ -291,17 +272,23 @@ def main(ctx, fmt):
 
 @main.command("eval")
 @click.argument("formula_file", type=click.Path(exists=True))
-@click.option("--env", "env_files", multiple=True, required=True,
+@_option("--env", "env_files", multiple=True, required=True,
               type=click.Path(exists=True), help="relation files; the symbol "
               "is taken from the @relation header")
-@click.option("--free", default=None, help="comma-separated free variables "
+@_option("--free", default=None, help="comma-separated free variables "
               "(checked against the formula)")
-@click.option("-o", "--out", type=click.Path(), default=None)
+@_option("-o", "--out", type=click.Path(), default=None)
 @click.pass_context
 def eval_cmd(ctx, formula_file, env_files, free, out):
     """Evaluate a formula file against an environment of relations."""
     f = _load_formula(formula_file)
-    env = dict(_load_rel(path) for path in env_files)
+    env, given_by = {}, {}
+    for path in env_files:
+        symbol, rel = _load_rel(path)
+        if env.get(symbol, rel) != rel:
+            raise PreconditionError(f"--env files {given_by[symbol]!r} and {path!r} "
+                                    f"both give relation symbol {symbol!r}")
+        env[symbol], given_by[symbol] = rel, path
     free_order = _parse_attr_list(free) if free else None
     value = formula.evaluate(f, env, free_order)
     text = core.dump_relation(value, "result")
@@ -313,10 +300,10 @@ def eval_cmd(ctx, formula_file, env_files, free, out):
 
 @main.command("deps")
 @click.argument("rel_file", type=click.Path(exists=True))
-@click.option("--fd", default=None, help="L:M functional dependency check")
-@click.option("--keys", "keys_k", type=int, default=None, help="find all k-keys")
-@click.option("--mvd", default=None, help="M:B1|B2|... multivalued dependency")
-@click.option("--admits", type=int, default=None, help="k-key admission test")
+@_option("--fd", default=None, help="L:M functional dependency check")
+@_option("--keys", "keys_k", type=int, default=None, help="find all k-keys")
+@_option("--mvd", default=None, help="M:B1|B2|... multivalued dependency")
+@_option("--admits", type=int, default=None, help="k-key admission test")
 @click.pass_context
 def deps_cmd(ctx, rel_file, fd, keys_k, mvd, admits):
     """Dependency reports for a relation."""
@@ -349,16 +336,16 @@ def deps_cmd(ctx, rel_file, fd, keys_k, mvd, admits):
 
 @main.command("reduce")
 @click.argument("rel_file", type=click.Path(exists=True))
-@click.option("--key", default=None, help="comma-separated key attributes")
-@click.option("--fagin", default=None, help="M:B1|B2|...")
-@click.option("--hypostatic", type=int, default=None, help="parameter count k")
-@click.option("--neg-join", "neg_join", type=click.Path(exists=True),
+@_option("--key", default=None, help="comma-separated key attributes")
+@_option("--fagin", default=None, help="M:B1|B2|...")
+@_option("--hypostatic", type=int, default=None, help="parameter count k")
+@_option("--neg-join", "neg_join", type=click.Path(exists=True),
               default=None, help="join certificate for R; produces one for not-R")
-@click.option("-k", "k_param", type=int, default=None,
+@_option("-k", "k_param", type=int, default=None,
               help="parameter count for --neg-join")
-@click.option("--identity-chain", "chain_n", type=int, default=None,
+@_option("--identity-chain", "chain_n", type=int, default=None,
               help="chain length n (the relation file only supplies the domain)")
-@click.option("-o", "--out", type=click.Path(), default="certificate",
+@_option("-o", "--out", type=click.Path(), default="certificate",
               help="output bundle directory")
 @click.pass_context
 def reduce_cmd(ctx, rel_file, key, fagin, hypostatic, neg_join, k_param,
@@ -389,7 +376,7 @@ def reduce_cmd(ctx, rel_file, key, fagin, hypostatic, neg_join, k_param,
 
 @main.command("explicate")
 @click.argument("cert_file", type=click.Path(exists=True))
-@click.option("-o", "--out", type=click.Path(), default="explicated")
+@_option("-o", "--out", type=click.Path(), default="explicated")
 @click.pass_context
 def explicate_cmd(ctx, cert_file, out):
     """Explicate a projoin certificate into a bond certificate."""
@@ -400,7 +387,7 @@ def explicate_cmd(ctx, cert_file, out):
 
 @main.command("merge")
 @click.argument("cert_file", type=click.Path(exists=True))
-@click.option("-o", "--out", type=click.Path(), default="merged")
+@_option("-o", "--out", type=click.Path(), default="merged")
 @click.pass_context
 def merge_cmd(ctx, cert_file, out):
     """Merge-complete a subternaric bond certificate."""
@@ -411,9 +398,9 @@ def merge_cmd(ctx, cert_file, out):
 
 @main.command("diagram")
 @click.argument("source", type=click.Path(exists=True))
-@click.option("--dot", "dot_out", type=click.Path(), default=None,
+@_option("--dot", "dot_out", type=click.Path(), default=None,
               help="write DOT here instead of stdout")
-@click.option("--stats/--no-stats", default=False,
+@_option("--stats/--no-stats", default=False,
               help="also print bond graph statistics")
 @click.pass_context
 def diagram_cmd(ctx, source, dot_out, stats):
@@ -437,7 +424,7 @@ def diagram_cmd(ctx, source, dot_out, stats):
 
 @main.command("ternarity")
 @click.argument("rel_file", type=click.Path(exists=True))
-@click.option("--certs", multiple=True, type=click.Path(exists=True))
+@_option("--certs", multiple=True, type=click.Path(exists=True))
 @click.pass_context
 def ternarity_cmd(ctx, rel_file, certs):
     """Ternarity interval for a relation."""
@@ -451,13 +438,13 @@ def ternarity_cmd(ctx, rel_file, certs):
 
 @main.command("analyze")
 @click.argument("rel_file", type=click.Path(exists=True))
-@click.option("--degenerate", is_flag=True)
-@click.option("--join-reducible", is_flag=True)
-@click.option("--relprod2", default=None,
+@_option("--degenerate", is_flag=True)
+@_option("--join-reducible", is_flag=True)
+@_option("--relprod2", default=None,
               help="comma-separated left block of the bipartition")
-@click.option("--one-param", is_flag=True)
-@click.option("--oracle-suite", is_flag=True)
-@click.option("-o", "--out", type=click.Path(), default=None,
+@_option("--one-param", is_flag=True)
+@_option("--oracle-suite", is_flag=True)
+@_option("-o", "--out", type=click.Path(), default=None,
               help="bundle directory for produced certificates")
 @click.pass_context
 def analyze_cmd(ctx, rel_file, degenerate, join_reducible, relprod2, one_param,
@@ -491,11 +478,11 @@ def analyze_cmd(ctx, rel_file, degenerate, join_reducible, relprod2, one_param,
 
 
 @main.command("census")
-@click.option("--d", "d", type=int, required=True)
-@click.option("--n", "n", type=int, required=True)
-@click.option("--sample", type=int, default=None,
+@_option("--d", "d", type=int, required=True)
+@_option("--n", "n", type=int, required=True)
+@_option("--sample", type=int, default=None,
               help="sampled census with this many draws")
-@click.option("--seed", type=int, default=0)
+@_option("--seed", type=int, default=0)
 @click.pass_context
 def census_cmd(ctx, d, n, sample, seed):
     """Count degenerate and join-reducible relations on D^n."""

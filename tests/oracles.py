@@ -5,6 +5,7 @@ depend on any code path under test; the reference command line is stock
 click, built from the same declarations as ``relred.cli``.
 """
 
+import copy
 import itertools
 
 import click
@@ -369,13 +370,24 @@ def reference_parse(text: str):
     return f
 
 
+def _stock(param):
+    """``param``, or a copy of it as a stock ``click.Option`` when it is an
+    option of a ``click.Option`` subclass."""
+    if not isinstance(param, click.Option) or type(param) is click.Option:
+        return param
+    option = copy.copy(param)
+    option.__class__ = click.Option
+    return option
+
+
 def stock_cli(group):
     """Stock click commands with ``group``'s declarations: a ``click.Group``
-    of ``click.Command``s with the same parameters and help texts."""
-    return click.Group(group.name, params=list(group.params), help=group.help, commands=[
-        click.Command(name, params=list(cmd.params), help=cmd.help)
-        for name, cmd in group.commands.items()
-    ])
+    of ``click.Command``s with the same parameters, each option a stock
+    ``click.Option``, and help texts."""
+    return click.Group(group.name, params=list(map(_stock, group.params)), help=group.help,
+                       commands=[click.Command(name, params=list(map(_stock, cmd.params)),
+                                               help=cmd.help)
+                                 for name, cmd in group.commands.items()])
 
 
 def parse_outcome(command, name, args, **extra):
